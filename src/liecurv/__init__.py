@@ -9,8 +9,8 @@ forms numerically.
 """
 
 from .algebra import (COMPLEX, REAL, MatrixElement, bracket, frobenius_inner,
-                      frobenius_norm, matrix_exp, matrix_from_json,
-                      matrix_to_json, random_element, random_matrix)
+                      matrix_exp, matrix_from_json, matrix_to_json,
+                      random_element, random_matrix)
 from .cartan import (AxiomCheck, CartanStructure, ThetaSplit, ValidationReport,
                      from_selector, gl_complex, gl_real, pure_class,
                      theta_split, validate)
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "COMPLEX", "REAL", "MatrixElement", "bracket", "frobenius_inner",
-    "frobenius_norm", "matrix_exp", "matrix_from_json", "matrix_to_json",
-    "random_element", "random_matrix",
+    "matrix_exp", "matrix_from_json", "matrix_to_json", "random_element",
+    "random_matrix",
     "AxiomCheck", "CartanStructure", "ThetaSplit", "ValidationReport",
     "from_selector", "gl_complex", "gl_real", "pure_class", "theta_split",
     "validate",

@@ -23,16 +23,14 @@ Seed = int
 REAL = "real"
 COMPLEX = "complex"
 
-_DTYPES = {REAL: np.float64, COMPLEX: np.complex128}
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixElement:
-    """Square matrix over real or complex scalars.
+    """Validated square matrix over real or complex scalars: the entry type.
 
-    Wraps an immutable float64/complex128 array. Depending on context an
-    element represents a Lie-algebra vector or a group element. Entries must
-    be finite; the scalar field is carried by the dtype.
+    Wraps a private, read-only float64/complex128 copy of its input. Entries
+    must be finite; the scalar field is carried by the dtype. Every function
+    of the library takes array-likes and computes on plain ndarrays, so an
+    element is converted by numpy (``__array__``) wherever it is passed in.
     """
 
     data: np.ndarray
@@ -54,116 +52,60 @@ class MatrixElement:
 
     @property
     def field(self) -> str:
-        return COMPLEX if self.data.dtype == np.complex128 else REAL
+        return field_of(self.data)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, n: int, field: str = REAL) -> "MatrixElement":
-        return cls(np.zeros((n, n), dtype=_DTYPES[field]))
-
-    @classmethod
-    def identity(cls, n: int, field: str = REAL) -> "MatrixElement":
-        return cls(np.eye(n, dtype=_DTYPES[field]))
-
-    @classmethod
-    def unit(cls, n: int, i: int, j: int, field: str = REAL,
-             imaginary: bool = False) -> "MatrixElement":
-        """Standard basis cell: E_ij, or i*E_ij when imaginary is set."""
-        m = np.zeros((n, n), dtype=_DTYPES[COMPLEX if imaginary else field])
-        m[i, j] = 1j if imaginary else 1.0
-        return cls(m)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "MatrixElement") -> "MatrixElement":
-        _check_pair(self, other)
-        return MatrixElement(self.data + other.data)
-
-    def __sub__(self, other: "MatrixElement") -> "MatrixElement":
-        _check_pair(self, other)
-        return MatrixElement(self.data - other.data)
-
-    def __neg__(self) -> "MatrixElement":
-        return MatrixElement(-self.data)
-
-    def __mul__(self, scalar) -> "MatrixElement":
-        return MatrixElement(self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "MatrixElement":
-        return MatrixElement(self.data / scalar)
-
-    def __matmul__(self, other: "MatrixElement") -> "MatrixElement":
-        _check_pair(self, other)
-        return MatrixElement(self.data @ other.data)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixElement):
-            return NotImplemented
-        return self.field == other.field and np.array_equal(self.data, other.data)
-
-    def transpose(self) -> "MatrixElement":
-        return MatrixElement(self.data.T)
-
-    def adjoint(self) -> "MatrixElement":
-        """Conjugate transpose; plain transpose for real matrices."""
-        return MatrixElement(np.conj(self.data).T)
-
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self.data))
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.data, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:
         return f"MatrixElement(n={self.n}, field={self.field!r})"
 
 
-def _check_pair(u: MatrixElement, v: MatrixElement) -> None:
-    if u.n != v.n or u.field != v.field:
-        raise DimensionMismatch(
-            f"operands disagree: {u.n}x{u.n} {u.field} vs {v.n}x{v.n} {v.field}")
+def field_of(u) -> str:
+    """The scalar field of a matrix: COMPLEX for a complex dtype, else REAL."""
+    return COMPLEX if np.iscomplexobj(u) else REAL
 
 
-def bracket(u: MatrixElement, v: MatrixElement) -> MatrixElement:
+def bracket(u, v) -> np.ndarray:
     """Lie bracket [u, v] = uv - vu."""
-    _check_pair(u, v)
-    return MatrixElement(u.data @ v.data - v.data @ u.data)
+    u, v = np.asarray(u), np.asarray(v)
+    return u @ v - v @ u
 
 
-def frobenius_inner(u: MatrixElement, v: MatrixElement) -> float:
+def frobenius_inner(u, v) -> float:
     """Frobenius inner product: tr(u^T v), or Re tr(u* v) over the complex field."""
-    _check_pair(u, v)
-    return float(np.sum(np.conj(u.data) * v.data).real)
+    u, v = np.asarray(u), np.asarray(v)
+    if u.shape != v.shape:
+        # the elementwise product would broadcast instead of failing
+        raise DimensionMismatch(f"operands disagree: shapes {u.shape} and {v.shape}")
+    return float(np.sum(np.conj(u) * v).real)
 
 
-def frobenius_norm(u: MatrixElement) -> float:
-    return u.norm()
-
-
-def matrix_exp(u: MatrixElement) -> MatrixElement:
+def matrix_exp(u) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a degree-13 Pade
     approximant (relative accuracy ~1e-13 for ||u|| <= 10).
 
     Raises Overflow if the result leaves the representable range.
     """
+    u = np.asarray(u)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(u.data)
+        out = scipy.linalg.expm(u)
     if not np.all(np.isfinite(out)):
-        raise Overflow(f"exponential overflowed for a matrix of norm {u.norm():.3g}")
-    return MatrixElement(out)
+        raise Overflow(
+            f"exponential overflowed for a matrix of norm {np.linalg.norm(u):.3g}")
+    return out
 
 
-def random_matrix(rng: np.random.Generator, n: int, field: str = REAL) -> MatrixElement:
+def random_matrix(rng: np.random.Generator, n: int, field: str = REAL) -> np.ndarray:
     """Matrix with entries i.i.d. uniform in [-1, 1]; for the complex field the
     real and imaginary parts are drawn independently."""
     re = rng.uniform(-1.0, 1.0, (n, n))
     if field == COMPLEX:
-        return MatrixElement(re + 1j * rng.uniform(-1.0, 1.0, (n, n)))
-    return MatrixElement(re)
+        return re + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    return re
 
 
-def random_element(seed: Seed, n: int, field: str = REAL) -> MatrixElement:
+def random_element(seed: Seed, n: int, field: str = REAL) -> np.ndarray:
     """Deterministic random matrix keyed by (seed, n, field)."""
     if n < 1:
         raise DimensionMismatch(f"n must be >= 1, got {n}")
@@ -178,12 +120,14 @@ def random_element(seed: Seed, n: int, field: str = REAL) -> MatrixElement:
 # numbers, complex entries are [re, im] pairs.
 
 
-def matrix_to_json(u: MatrixElement) -> dict:
-    if u.field == COMPLEX:
-        entries: list[Any] = [[float(z.real), float(z.imag)] for z in u.data.flat]
+def matrix_to_json(u) -> dict:
+    u = np.asarray(u)
+    field = field_of(u)
+    if field == COMPLEX:
+        entries: list[Any] = [[float(z.real), float(z.imag)] for z in u.flat]
     else:
-        entries = [float(x) for x in u.data.flat]
-    return {"n": u.n, "field": u.field, "entries": entries}
+        entries = [float(x) for x in u.flat]
+    return {"n": u.shape[0], "field": field, "entries": entries}
 
 
 def matrix_from_json(obj: Any) -> MatrixElement:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import COMPLEX, REAL, MatrixElement, bracket, random_matrix
+from .algebra import COMPLEX, REAL, bracket, field_of, random_matrix
 from .errors import DimensionMismatch, NotPureType
 
 
@@ -29,36 +29,38 @@ from .errors import DimensionMismatch, NotPureType
 class CartanStructure:
     """Algebraic package (name, n, field, theta, B) with derived helpers.
 
-    real_dim is the dimension of the algebra as a real vector space
-    (n^2 for gl(n, R), 2 n^2 for gl(n, C)).
+    theta and bform act on ndarrays: theta returns an array, bform a float.
     """
 
     name: str
     n: int
     field: str
-    theta: Callable[[MatrixElement], MatrixElement]
-    bform: Callable[[MatrixElement, MatrixElement], float]
-    real_dim: int = 0
+    theta: Callable[[np.ndarray], np.ndarray]
+    bform: Callable[[np.ndarray, np.ndarray], float]
 
-    def __post_init__(self):
-        if self.real_dim == 0:
-            dim = self.n * self.n * (2 if self.field == COMPLEX else 1)
-            object.__setattr__(self, "real_dim", dim)
+    @property
+    def real_dim(self) -> int:
+        """Dimension of the algebra as a real vector space (n^2 for
+        gl(n, R), 2 n^2 for gl(n, C))."""
+        return self.n * self.n * (2 if self.field == COMPLEX else 1)
 
-    def b_theta(self, u: MatrixElement, v: MatrixElement) -> float:
-        """Derived inner product -B(u, theta v)."""
-        return -self.bform(u, self.theta(v))
+    def b_theta(self, u, v) -> float:
+        """Derived inner product -B(u, theta v): the metric everything
+        downstream uses."""
+        return -self.bform(np.asarray(u), self.theta(np.asarray(v)))
 
-    # the metric everything downstream uses
-    inner = b_theta
-
-    def norm(self, u: MatrixElement) -> float:
+    def norm(self, u) -> float:
         return float(np.sqrt(max(self.b_theta(u, u), 0.0)))
 
-    def check_member(self, u: MatrixElement) -> None:
-        if u.n != self.n or u.field != self.field:
+    def check_member(self, u) -> np.ndarray:
+        """u as an ndarray; DimensionMismatch unless it is an n x n matrix
+        over the structure's field."""
+        u = np.asarray(u)
+        if u.shape != (self.n, self.n) or field_of(u) != self.field:
+            shape = "x".join(map(str, u.shape))
             raise DimensionMismatch(
-                f"{u.n}x{u.n} {u.field} matrix does not belong to {self.name}")
+                f"{shape} {field_of(u)} matrix does not belong to {self.name}")
+        return u
 
 
 @dataclass(frozen=True)
@@ -66,38 +68,34 @@ class ThetaSplit:
     """Eigencomponents of a vector under theta: u = p_part + k_part with
     theta(p_part) = -p_part and theta(k_part) = k_part."""
 
-    p_part: MatrixElement
-    k_part: MatrixElement
+    p_part: np.ndarray
+    k_part: np.ndarray
 
 
 def gl_real(n: int) -> CartanStructure:
     """Full real general linear structure on n x n matrices."""
-    if n < 1:
-        raise DimensionMismatch(f"n must be >= 1, got {n}")
-    return CartanStructure(
-        name=f"gl:real:{n}",
-        n=n,
-        field=REAL,
-        theta=lambda u: MatrixElement(-u.data.T),
-        bform=_trace_form,
-    )
+    return _gl(n, REAL)
 
 
 def gl_complex(n: int) -> CartanStructure:
     """Full complex general linear structure on n x n matrices."""
+    return _gl(n, COMPLEX)
+
+
+def _gl(n: int, field: str) -> CartanStructure:
     if n < 1:
         raise DimensionMismatch(f"n must be >= 1, got {n}")
-    return CartanStructure(
-        name=f"gl:complex:{n}",
-        n=n,
-        field=COMPLEX,
-        theta=lambda u: MatrixElement(-np.conj(u.data).T),
-        bform=_trace_form,
-    )
+    return CartanStructure(name=f"gl:{field}:{n}", n=n, field=field,
+                           theta=_theta, bform=_trace_form)
 
 
-def _trace_form(u: MatrixElement, v: MatrixElement) -> float:
-    return float(np.trace(u.data @ v.data).real)
+def _theta(u: np.ndarray) -> np.ndarray:
+    # -u* over C; conj is the identity on real matrices, so -u^T over R
+    return -np.conj(u).T
+
+
+def _trace_form(u: np.ndarray, v: np.ndarray) -> float:
+    return float(np.trace(u @ v).real)
 
 
 def from_selector(text: str) -> CartanStructure:
@@ -112,19 +110,19 @@ def from_selector(text: str) -> CartanStructure:
     raise ValueError(f"bad structure selector {text!r} (expected gl:real:<n> or gl:complex:<n>)")
 
 
-def theta_split(s: CartanStructure, u: MatrixElement) -> ThetaSplit:
+def theta_split(s: CartanStructure, u) -> ThetaSplit:
     """Split u into its -1 (p) and +1 (k) eigencomponents under theta.
 
     p_part is (u - theta u)/2; k_part is the exact complement u - p_part, so
     the two parts reconstruct u without rounding. For gl(n, R) this is the
     symmetric/skew-symmetric split.
     """
-    s.check_member(u)
-    p = (u.data - s.theta(u).data) / 2.0
-    return ThetaSplit(MatrixElement(p), MatrixElement(u.data - p))
+    u = s.check_member(u)
+    p = (u - s.theta(u)) / 2.0
+    return ThetaSplit(p, u - p)
 
 
-def pure_class(s: CartanStructure, u: MatrixElement, rtol: float = 1e-10) -> str:
+def pure_class(s: CartanStructure, u, rtol: float = 1e-10) -> str:
     """Classify u as purely "p" or purely "k".
 
     The off-class component must have norm <= rtol * ||u|| (with a small
@@ -132,8 +130,8 @@ def pure_class(s: CartanStructure, u: MatrixElement, rtol: float = 1e-10) -> str
     genuinely mixed vectors.
     """
     parts = theta_split(s, u)
-    np_, nk = parts.p_part.norm(), parts.k_part.norm()
-    allowed = rtol * u.norm() + 1e-14
+    np_, nk = np.linalg.norm(parts.p_part), np.linalg.norm(parts.k_part)
+    allowed = rtol * np.linalg.norm(u) + 1e-14
     if nk <= allowed:
         return "p"
     if np_ <= allowed:
@@ -199,23 +197,24 @@ def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
         errs = [fn(a, b) for a, b in zip(it, it)]
         return max(errs) if errs else 0.0
 
+    norm = np.linalg.norm
     checks = []
 
     checks.append(_check("theta_involution", tol, worst(
-        lambda u: (s.theta(s.theta(u)) - u).norm() / (u.norm() + 1e-14))))
+        lambda u: norm(s.theta(s.theta(u)) - u) / (norm(u) + 1e-14))))
 
     checks.append(_check("theta_bracket_automorphism", tol, worst_pair(
-        lambda u, v: (s.theta(bracket(u, v)) - bracket(s.theta(u), s.theta(v))).norm()
-        / (u.norm() * v.norm() + 1e-14))))
+        lambda u, v: norm(s.theta(bracket(u, v)) - bracket(s.theta(u), s.theta(v)))
+        / (norm(u) * norm(v) + 1e-14))))
 
     checks.append(_check("bform_symmetry", tol, worst_pair(
         lambda u, v: abs(s.bform(u, v) - s.bform(v, u))
-        / (u.norm() * v.norm() + 1e-14))))
+        / (norm(u) * norm(v) + 1e-14))))
 
-    def ad_invariance(u: MatrixElement) -> float:
+    def ad_invariance(u: np.ndarray) -> float:
         x, y, z = u, samples[0], samples[-1]
         gap = abs(s.bform(bracket(x, y), z) + s.bform(y, bracket(x, z)))
-        return gap / (x.norm() * y.norm() * z.norm() + 1e-14)
+        return gap / (norm(x) * norm(y) * norm(z) + 1e-14)
     checks.append(_check("bform_ad_invariance", tol, worst(ad_invariance)))
 
     gram = _basis_gram(s)
@@ -228,14 +227,14 @@ def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
 
     checks.append(_check("split_orthogonality", tol, worst(
         lambda u: abs(s.b_theta(theta_split(s, u).p_part, theta_split(s, u).k_part))
-        / (u.norm() ** 2 + 1e-14))))
+        / (norm(u) ** 2 + 1e-14))))
 
     def inclusion(picker_a, picker_b, off_picker) -> float:
         def err(u, v):
             a = picker_a(theta_split(s, u))
             b = picker_b(theta_split(s, v))
             off = off_picker(theta_split(s, bracket(a, b)))
-            return off.norm() / (a.norm() * b.norm() + 1e-14)
+            return norm(off) / (norm(a) * norm(b) + 1e-14)
         return worst_pair(err)
 
     p_of = lambda sp: sp.p_part
@@ -249,7 +248,8 @@ def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
 
 
 def _check(name: str, tol: float, error: float) -> AxiomCheck:
-    return AxiomCheck(name=name, error=error, tolerance=tol, passed=error <= tol)
+    return AxiomCheck(name=name, error=float(error), tolerance=tol,
+                      passed=bool(error <= tol))
 
 
 def _basis_gram(s: CartanStructure) -> np.ndarray:

@@ -45,35 +45,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     section = sub.add_parser("section", help="curvature report for span{u, v}")
     _matrix_args(section, need_v=True)
-    _common_args(section, default_format="json")
+    _out_arg(section)
     section.set_defaults(func=cmd_section)
 
     verify = sub.add_parser("verify", help="run the verification battery")
     verify.add_argument("--structure", default=None,
                         help="run the generic suites on this structure")
-    _common_args(verify, default_format="json")
+    _seed_trials_args(verify)
+    verify.add_argument("--tol", type=float, default=None,
+                        help="replace the bound of every upper-bounded suite")
+    _out_arg(verify)
     verify.set_defaults(func=cmd_verify)
 
     sample = sub.add_parser("sample", help="stratified random curvature samples")
     sample.add_argument("--structure", default=None,
                         help="gl:real:<n> or gl:complex:<n> (default gl:real:3)")
-    _common_args(sample, default_format="csv")
+    _seed_trials_args(sample)
+    _out_arg(sample, default_format="csv")
     sample.set_defaults(func=cmd_sample)
 
     geodesic = sub.add_parser("geodesic", help="trace the geodesic from tangent u")
     _matrix_args(geodesic, need_v=False)
     geodesic.add_argument("--t-max", type=float, default=2.0)
     geodesic.add_argument("--steps", type=int, default=64)
-    _common_args(geodesic, default_format="json")
+    _out_arg(geodesic, default_format="json")
     geodesic.set_defaults(func=cmd_geodesic)
 
     subgroup = sub.add_parser("subgroup", help="totally-geodesic subgroup sweep")
     subgroup.add_argument("--group", required=True,
                           help="so:<n>, sl:<n>, opq:<p>,<q> or ut:<n>")
-    _matrix_args(subgroup, need_v=False)
+    subgroup.add_argument("--u", required=True,
+                          help="tangent as inline JSON or a file path")
     subgroup.add_argument("--t-max", type=float, default=2.0)
     subgroup.add_argument("--steps", type=int, default=64)
-    _common_args(subgroup, default_format="json")
+    _out_arg(subgroup)
     subgroup.set_defaults(func=cmd_subgroup)
 
     return parser
@@ -87,12 +92,16 @@ def _matrix_args(p: argparse.ArgumentParser, need_v: bool) -> None:
                    help="gl:real:<n> or gl:complex:<n> (default: inferred from --u)")
 
 
-def _common_args(p: argparse.ArgumentParser, default_format: str) -> None:
+def _seed_trials_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+
+
+def _out_arg(p: argparse.ArgumentParser, default_format: Optional[str] = None) -> None:
+    """--out, plus --format json|csv for the commands that can write both."""
     p.add_argument("--out", default=None, help="write output here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default=default_format)
+    if default_format is not None:
+        p.add_argument("--format", choices=("json", "csv"), default=default_format)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -144,16 +153,10 @@ def _emit_json(obj: dict, out: Optional[str]) -> None:
     _emit(json.dumps(obj, indent=2), out)
 
 
-def _require_json(args) -> None:
-    if args.format != "json":
-        raise ValueError(f"{args.command} supports only --format json")
-
-
 def cmd_section(args) -> int:
     u = _load_matrix(args.u)
     v = _load_matrix(args.v)
     s = _pick_structure(args.structure, u)
-    _require_json(args)
     report = sectional(s, u, v)
     case = "general"
     special = None
@@ -172,7 +175,6 @@ def cmd_section(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_json(args)
     structure = from_selector(args.structure) if args.structure else None
     trials = args.trials if args.trials is not None else 500
     report = run_verify(structure=structure, seed=args.seed, trials=trials,
@@ -254,14 +256,13 @@ def cmd_geodesic(args) -> int:
         writer.writerow(header)
         for x in samples:
             writer.writerow([x.t, x.residual,
-                             *x.gamma.data.ravel().tolist(),
-                             *x.omega.data.ravel().tolist()])
+                             *x.gamma.ravel().tolist(),
+                             *x.omega.ravel().tolist()])
         _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
 
 def cmd_subgroup(args) -> int:
-    _require_json(args)
     spec = subgroup_from_selector(args.group)
     u = _load_matrix(args.u)
     if args.steps < 2:

@@ -17,11 +17,14 @@ rather than replace it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .algebra import MatrixElement, bracket
+import numpy as np
+
+from .algebra import bracket
 from .cartan import CartanStructure, pure_class, theta_split
-from .errors import DegenerateSection, NotCommuting, NotPureType
+from .errors import DegenerateSection, NotCommuting, NotPureType, Overflow
 
 # A 2-plane is rejected as degenerate when its squared area falls below this
 # multiple of ||u||^2 ||v||^2.
@@ -56,15 +59,13 @@ class SectionReport:
                 "term_mixed": self.term_mixed, "term_cross": self.term_cross}
 
 
-def nabla(s: CartanStructure, u: MatrixElement, v: MatrixElement) -> MatrixElement:
+def nabla(s: CartanStructure, u, v) -> np.ndarray:
     """Covariant derivative of the left-invariant field v along u at the identity."""
-    s.check_member(u)
-    s.check_member(v)
+    u, v = s.check_member(u), s.check_member(v)
     return 0.5 * (bracket(u, v) - bracket(u, s.theta(v)) - bracket(v, s.theta(u)))
 
 
-def nabla_case(s: CartanStructure, u: MatrixElement,
-               v: MatrixElement) -> tuple[MatrixElement, str]:
+def nabla_case(s: CartanStructure, u, v) -> tuple[np.ndarray, str]:
     """Piecewise form of nabla for inputs that are purely p or purely k.
 
     Returns the value together with the case tag that fired: the coefficient
@@ -78,16 +79,14 @@ def nabla_case(s: CartanStructure, u: MatrixElement,
     return coeff * bracket(u, v), f"{cu}_{cv}"
 
 
-def curvature_tensor(s: CartanStructure, u: MatrixElement, v: MatrixElement,
-                     w: MatrixElement) -> MatrixElement:
+def curvature_tensor(s: CartanStructure, u, v, w) -> np.ndarray:
     """R(u, v)w = nabla_u nabla_v w - nabla_v nabla_u w - nabla_[u,v] w."""
     return (nabla(s, u, nabla(s, v, w))
             - nabla(s, v, nabla(s, u, w))
             - nabla(s, bracket(u, v), w))
 
 
-def quartic_terms(s: CartanStructure, u: MatrixElement,
-                  v: MatrixElement) -> tuple[float, float, float]:
+def quartic_terms(s: CartanStructure, u, v) -> tuple[float, float, float]:
     """The three summands of the general quartic formula, in order
     (-2||[u1,v1]||^2, 1/4||[u,v]||^2, 2<[u1,v1],[u2,v2]>)."""
     su, sv = theta_split(s, u), theta_split(s, v)
@@ -99,23 +98,27 @@ def quartic_terms(s: CartanStructure, u: MatrixElement,
             2.0 * s.b_theta(b11, b22))
 
 
-def quartic(s: CartanStructure, u: MatrixElement, v: MatrixElement) -> float:
+def quartic(s: CartanStructure, u, v) -> float:
     """<R(u,v)v, u> by the general closed formula."""
     t1, t2, t3 = quartic_terms(s, u, v)
     return t1 + t2 + t3
 
 
-def sectional(s: CartanStructure, u: MatrixElement, v: MatrixElement) -> SectionReport:
+def sectional(s: CartanStructure, u, v) -> SectionReport:
     """Sectional curvature of span{u, v} with the full term breakdown.
 
-    Raises DegenerateSection when the squared area of the parallelogram is at
-    or below DEGENERATE_AREA_RTOL * ||u||^2 ||v||^2 (nearly dependent inputs
-    make the ratio meaningless).
+    Raises Overflow when the quartic or the area leaves the floating-point
+    range, and DegenerateSection when the squared area of the parallelogram
+    is at or below DEGENERATE_AREA_RTOL * ||u||^2 ||v||^2 (nearly dependent
+    inputs make the ratio meaningless).
     """
-    t1, t2, t3 = quartic_terms(s, u, v)
-    q = t1 + t2 + t3
-    uu, vv, uv = s.b_theta(u, u), s.b_theta(v, v), s.b_theta(u, v)
-    area_sq = uu * vv - uv * uv
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1, t2, t3 = quartic_terms(s, u, v)
+        q = t1 + t2 + t3
+        uu, vv, uv = s.b_theta(u, u), s.b_theta(v, v), s.b_theta(u, v)
+        area_sq = uu * vv - uv * uv
+    if not all(map(math.isfinite, (t1, t2, t3, q, area_sq))):
+        raise Overflow("the quartic or the squared area of the plane is not finite")
     if area_sq <= DEGENERATE_AREA_RTOL * uu * vv:
         raise DegenerateSection(
             f"squared area {area_sq:.3g} is below {DEGENERATE_AREA_RTOL:g} * "
@@ -124,8 +127,7 @@ def sectional(s: CartanStructure, u: MatrixElement, v: MatrixElement) -> Section
                          term_pp=t1, term_mixed=t2, term_cross=t3)
 
 
-def quartic_special(s: CartanStructure, u: MatrixElement,
-                    v: MatrixElement) -> tuple[float, str]:
+def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:
     """Special-case value of the quartic form, dispatched on purity.
 
     v must be purely p or purely k (NotPureType otherwise). When u is also
@@ -139,7 +141,7 @@ def quartic_special(s: CartanStructure, u: MatrixElement,
     except NotPureType:
         cu = "g"
 
-    def nsq(x: MatrixElement) -> float:
+    def nsq(x: np.ndarray) -> float:
         return s.b_theta(x, x)
 
     if cu == "g":
@@ -157,7 +159,7 @@ def quartic_special(s: CartanStructure, u: MatrixElement,
     return value, f"{cu}_{cv}"
 
 
-def quartic_commuting(s: CartanStructure, u: MatrixElement, v: MatrixElement,
+def quartic_commuting(s: CartanStructure, u, v,
                       tol: float = COMMUTING_RTOL) -> float:
     """Quartic form for a commuting pair: -4 ||[u1, v1]||^2.
 
@@ -173,8 +175,7 @@ def quartic_commuting(s: CartanStructure, u: MatrixElement, v: MatrixElement,
     return -4.0 * s.b_theta(b11, b11)
 
 
-def bracket_norm_identity_gap(s: CartanStructure, u: MatrixElement,
-                              v: MatrixElement) -> float:
+def bracket_norm_identity_gap(s: CartanStructure, u, v) -> float:
     """LHS - RHS of the commutator-norm decomposition
 
         ||[u,v]||^2 = ||[u,v1]||^2 + ||[u,v2]||^2 - 2 <[v1,v2], [u1,u2]>
@@ -182,7 +183,7 @@ def bracket_norm_identity_gap(s: CartanStructure, u: MatrixElement,
     (a diagnostic; the gap should vanish to rounding on any inputs)."""
     su, sv = theta_split(s, u), theta_split(s, v)
 
-    def nsq(x: MatrixElement) -> float:
+    def nsq(x: np.ndarray) -> float:
         return s.b_theta(x, x)
 
     lhs = nsq(bracket(u, v))

@@ -15,15 +15,16 @@ presented as established.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .algebra import REAL, MatrixElement, matrix_exp
+from .algebra import REAL, field_of, matrix_exp
 from .cartan import CartanStructure
 from .curvature import nabla
-from .errors import DimensionMismatch, TangentNotInAlgebra, UnknownGroup
+from .errors import DimensionMismatch, Overflow, TangentNotInAlgebra, UnknownGroup
 
 # totally_geodesic_check: tangency gate and pass line for the defect sweep
 TANGENT_RTOL = 1e-10
@@ -31,69 +32,72 @@ DEFECT_RTOL = 1e-9
 DEFAULT_STEPS = 64
 
 
-def _require_real(u: MatrixElement) -> None:
-    if u.field != REAL:
+def _real_tangent(u) -> np.ndarray:
+    u = np.asarray(u)
+    if field_of(u) != REAL:
         raise DimensionMismatch(
             "the closed-form geodesic is defined on real matrices only")
+    return u
 
 
-def geodesic_point(u: MatrixElement, t: float) -> MatrixElement:
+def geodesic_point(u, t: float) -> np.ndarray:
     """gamma(t) = exp(t u^T) exp(t (u - u^T)) on the real general linear group."""
-    _require_real(u)
-    ut = u.transpose()
+    u = _real_tangent(u)
+    ut = u.T
     return matrix_exp(t * ut) @ matrix_exp(t * (u - ut))
 
 
-def geodesic_body_velocity(u: MatrixElement, t: float) -> MatrixElement:
+def geodesic_body_velocity(u, t: float) -> np.ndarray:
     """omega(t) = gamma(t)^-1 gamma'(t) = exp(-ts) u^T exp(ts) + s, s = u - u^T."""
-    _require_real(u)
-    return _conjugated_velocity(u.transpose(), u - u.transpose(), t)
+    u = _real_tangent(u)
+    return _conjugated_velocity(u.T, u - u.T, t)
 
 
-def experimental_geodesic_point(s: CartanStructure, u: MatrixElement,
-                                t: float) -> MatrixElement:
+def experimental_geodesic_point(s: CartanStructure, u, t: float) -> np.ndarray:
     """Generalized curve exp(-t theta u) exp(t (u + theta u)).
 
     Coincides with geodesic_point for the real structure. Its geodesic
     property on other structures is certified only numerically (see
     geodesic_residual); treat it as experimental.
     """
-    s.check_member(u)
+    u = s.check_member(u)
     a = -1.0 * s.theta(u)
     return matrix_exp(t * a) @ matrix_exp(t * (u - a))
 
 
-def experimental_geodesic_body_velocity(s: CartanStructure, u: MatrixElement,
-                                        t: float) -> MatrixElement:
+def experimental_geodesic_body_velocity(s: CartanStructure, u,
+                                        t: float) -> np.ndarray:
     """Body velocity of the generalized curve: exp(-t s2) a exp(t s2) + s2
     with a = -theta u and s2 = u + theta u."""
-    s.check_member(u)
+    u = s.check_member(u)
     a = -1.0 * s.theta(u)
     return _conjugated_velocity(a, u - a, t)
 
 
-def _conjugated_velocity(a: MatrixElement, s2: MatrixElement,
-                         t: float) -> MatrixElement:
+def _conjugated_velocity(a: np.ndarray, s2: np.ndarray, t: float) -> np.ndarray:
     e = matrix_exp(t * s2)
     e_inv = matrix_exp(-t * s2)
     return e_inv @ a @ e + s2
 
 
-def geodesic_residual(s: CartanStructure, u: MatrixElement, t: float,
-                      h: float = 1e-5) -> float:
+def geodesic_residual(s: CartanStructure, u, t: float, h: float = 1e-5) -> float:
     """Geodesic-equation defect ||omega'(t) + nabla(omega(t), omega(t))||.
 
     omega' is a central finite difference with step h. For a true geodesic
     the residual is at the differencing noise floor (<= 1e-6 for ||u|| <= 2,
-    t in [0, 2], h = 1e-5).
+    t in [0, 2], h = 1e-5). Raises Overflow when the defect is not finite.
     """
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
-    w = experimental_geodesic_body_velocity(s, u, t)
-    w_plus = experimental_geodesic_body_velocity(s, u, t + h)
-    w_minus = experimental_geodesic_body_velocity(s, u, t - h)
-    w_dot = (w_plus - w_minus) / (2.0 * h)
-    return (w_dot + nabla(s, w, w)).norm()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = experimental_geodesic_body_velocity(s, u, t)
+        w_plus = experimental_geodesic_body_velocity(s, u, t + h)
+        w_minus = experimental_geodesic_body_velocity(s, u, t - h)
+        w_dot = (w_plus - w_minus) / (2.0 * h)
+        residual = float(np.linalg.norm(w_dot + nabla(s, w, w)))
+    if not math.isfinite(residual):
+        raise Overflow(f"geodesic residual at t = {t:g} is not finite")
+    return residual
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,12 @@ class GeodesicSample:
     """One grid point of a geodesic trace."""
 
     t: float
-    gamma: MatrixElement
-    omega: MatrixElement
+    gamma: np.ndarray
+    omega: np.ndarray
     residual: float
 
 
-def geodesic_trace(s: CartanStructure, u: MatrixElement, t_max: float = 2.0,
+def geodesic_trace(s: CartanStructure, u, t_max: float = 2.0,
                    steps: int = DEFAULT_STEPS, h: float = 1e-5) -> list[GeodesicSample]:
     """Sample the geodesic on a uniform grid of `steps` points over [0, t_max]."""
     if steps < 2:
@@ -131,18 +135,18 @@ class SubgroupSpec:
     group_defect(g) vanishes exactly on members of the subgroup,
     algebra_defect(u) exactly on its tangent algebra; both are >= 0.
     project sends an arbitrary matrix to the tangent algebra (used to build
-    admissible test tangents). transpose_invariant records whether the
-    subgroup is stable under transposition, the hypothesis of the
-    totally-geodesic theorem; UT(n) is shipped with the flag false as a
-    negative control.
+    admissible test tangents). All three take array-likes.
+    transpose_invariant records whether the subgroup is stable under
+    transposition, the hypothesis of the totally-geodesic theorem; UT(n) is
+    shipped with the flag false as a negative control.
     """
 
     name: str
     n: int
-    group_defect: Callable[[MatrixElement], float]
-    algebra_defect: Callable[[MatrixElement], float]
+    group_defect: Callable[[np.ndarray], float]
+    algebra_defect: Callable[[np.ndarray], float]
     transpose_invariant: bool
-    project: Optional[Callable[[MatrixElement], MatrixElement]] = None
+    project: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -176,19 +180,19 @@ def builtin_subgroup(name: str, n: int = 0, p: int = 0, q: int = 0) -> SubgroupS
         _require_size(n)
         return SubgroupSpec(
             name=f"SO({n})", n=n,
-            group_defect=lambda g: float(np.linalg.norm(g.data.T @ g.data - np.eye(n))),
-            algebra_defect=lambda u: float(np.linalg.norm(u.data + u.data.T)),
+            group_defect=lambda g: float(
+                np.linalg.norm(np.transpose(g) @ g - np.eye(n))),
+            algebra_defect=lambda u: float(np.linalg.norm(u + np.transpose(u))),
             transpose_invariant=True,
-            project=lambda r: MatrixElement((r.data - r.data.T) / 2.0))
+            project=lambda r: (r - np.transpose(r)) / 2.0)
     if key == "sl":
         _require_size(n)
         return SubgroupSpec(
             name=f"SL({n})", n=n,
-            group_defect=lambda g: abs(float(np.linalg.det(g.data)) - 1.0),
-            algebra_defect=lambda u: abs(float(np.trace(u.data))),
+            group_defect=lambda g: abs(float(np.linalg.det(g)) - 1.0),
+            algebra_defect=lambda u: abs(float(np.trace(u))),
             transpose_invariant=True,
-            project=lambda r: MatrixElement(
-                r.data - (np.trace(r.data) / n) * np.eye(n)))
+            project=lambda r: r - (np.trace(r) / n) * np.eye(n))
     if key == "opq":
         if p < 1 or q < 1:
             raise UnknownGroup(f"opq needs p >= 1 and q >= 1, got p={p}, q={q}")
@@ -196,15 +200,17 @@ def builtin_subgroup(name: str, n: int = 0, p: int = 0, q: int = 0) -> SubgroupS
         eta = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
         return SubgroupSpec(
             name=f"O({p},{q})", n=m,
-            group_defect=lambda g: float(np.linalg.norm(g.data.T @ eta @ g.data - eta)),
-            algebra_defect=lambda u: float(np.linalg.norm(u.data.T @ eta + eta @ u.data)),
+            group_defect=lambda g: float(
+                np.linalg.norm(np.transpose(g) @ eta @ g - eta)),
+            algebra_defect=lambda u: float(
+                np.linalg.norm(np.transpose(u) @ eta + eta @ u)),
             transpose_invariant=True,
-            project=lambda r: MatrixElement((r.data - eta @ r.data.T @ eta) / 2.0))
+            project=lambda r: (r - eta @ np.transpose(r) @ eta) / 2.0)
     if key == "ut":
         _require_size(n)
 
-        def below_diag_max(g: MatrixElement) -> float:
-            strict_lower = np.tril(g.data, k=-1)
+        def below_diag_max(g) -> float:
+            strict_lower = np.tril(g, k=-1)
             return float(np.abs(strict_lower).max()) if n > 1 else 0.0
 
         return SubgroupSpec(
@@ -212,7 +218,7 @@ def builtin_subgroup(name: str, n: int = 0, p: int = 0, q: int = 0) -> SubgroupS
             group_defect=below_diag_max,
             algebra_defect=below_diag_max,
             transpose_invariant=False,
-            project=lambda r: MatrixElement(np.triu(r.data)))
+            project=np.triu)
     raise UnknownGroup(f"unknown subgroup name {name!r} (expected so, sl, opq or ut)")
 
 
@@ -237,8 +243,7 @@ def subgroup_from_selector(text: str) -> SubgroupSpec:
     return builtin_subgroup(key, n=int(arg))
 
 
-def totally_geodesic_check(spec: SubgroupSpec, u: MatrixElement,
-                           t_max: float = 2.0,
+def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
                            steps: int = DEFAULT_STEPS) -> TotallyGeodesicReport:
     """Track the subgroup defect of the geodesic from a tangent u in the algebra.
 
@@ -249,20 +254,23 @@ def totally_geodesic_check(spec: SubgroupSpec, u: MatrixElement,
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    if u.n != spec.n:
+    u = np.asarray(u)
+    if u.shape != (spec.n, spec.n):
+        shape = "x".join(map(str, u.shape))
         raise DimensionMismatch(
-            f"tangent is {u.n}x{u.n} but {spec.name} lives in size {spec.n}")
+            f"tangent is {shape} but {spec.name} lives in size {spec.n}")
+    u_norm = float(np.linalg.norm(u))
     adef = spec.algebra_defect(u)
-    if adef > TANGENT_RTOL * u.norm():
+    if adef > TANGENT_RTOL * u_norm:
         raise TangentNotInAlgebra(
             f"algebra defect {adef:.3g} exceeds {TANGENT_RTOL:g} * ||u|| "
-            f"= {TANGENT_RTOL * u.norm():.3g} for {spec.name}")
+            f"= {TANGENT_RTOL * u_norm:.3g} for {spec.name}")
     max_defect, argmax_t = 0.0, 0.0
     for t in np.linspace(0.0, t_max, steps):
         d = spec.group_defect(geodesic_point(u, float(t)))
         if d > max_defect:
             max_defect, argmax_t = d, float(t)
-    threshold = DEFECT_RTOL * (1.0 + u.norm() * t_max)
+    threshold = DEFECT_RTOL * (1.0 + u_norm * t_max)
     return TotallyGeodesicReport(
         subgroup=spec.name, transpose_invariant=spec.transpose_invariant,
         t_max=t_max, steps=steps, max_defect=max_defect, argmax_t=argmax_t,

@@ -18,17 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import COMPLEX, REAL, MatrixElement, bracket, random_matrix
+from .algebra import COMPLEX, REAL, bracket, random_matrix
 from .cartan import CartanStructure
 from .errors import DimensionMismatch, IncompleteBasis
 
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """B_theta-orthonormal spanning set of a structure's algebra."""
+    """B_theta-orthonormal spanning set of a structure's algebra, held as
+    ndarrays (array-like elements are converted on construction)."""
 
     structure: str
-    elements: tuple[MatrixElement, ...]
+    elements: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements",
+                           tuple(np.asarray(e) for e in self.elements))
 
 
 def standard_basis(s: CartanStructure) -> OrthonormalBasis:
@@ -38,15 +43,15 @@ def standard_basis(s: CartanStructure) -> OrthonormalBasis:
     no re-orthonormalization is applied. Raises IncompleteBasis if the cell
     count does not match the structure's declared real dimension.
     """
+    dtype = np.complex128 if s.field == COMPLEX else np.float64
+    units = (1.0, 1j) if s.field == COMPLEX else (1.0,)
     elems = []
-    for i in range(s.n):
-        for j in range(s.n):
-            elems.append(MatrixElement.unit(s.n, i, j, field=s.field))
-    if s.field == COMPLEX:
+    for unit in units:
         for i in range(s.n):
             for j in range(s.n):
-                elems.append(MatrixElement.unit(s.n, i, j, field=s.field,
-                                                imaginary=True))
+                e = np.zeros((s.n, s.n), dtype=dtype)
+                e[i, j] = unit
+                elems.append(e)
     if len(elems) != s.real_dim:
         raise IncompleteBasis(
             f"{len(elems)} cells span a dim-{len(elems)} space but {s.name} "
@@ -64,23 +69,22 @@ def _check_basis(s: CartanStructure, basis: OrthonormalBasis | None) -> Orthonor
     return basis
 
 
-def nabla_from_metric(s: CartanStructure, u: MatrixElement, v: MatrixElement,
-                      basis: OrthonormalBasis | None = None) -> MatrixElement:
+def nabla_from_metric(s: CartanStructure, u, v,
+                      basis: OrthonormalBasis | None = None) -> np.ndarray:
     """Connection solved from the metric identity over a basis (definition route)."""
     basis = _check_basis(s, basis)
-    s.check_member(u)
-    s.check_member(v)
+    u, v = s.check_member(u), s.check_member(v)
     uv = bracket(u, v)
-    acc = np.zeros_like(u.data)
+    acc = np.zeros_like(u)
     for e in basis.elements:
         coeff = 0.5 * (s.b_theta(uv, e)
                        - s.b_theta(bracket(v, e), u)
                        - s.b_theta(bracket(u, e), v))
-        acc = acc + coeff * e.data
-    return MatrixElement(acc)
+        acc = acc + coeff * e
+    return acc
 
 
-def quartic_from_definition(s: CartanStructure, u: MatrixElement, v: MatrixElement,
+def quartic_from_definition(s: CartanStructure, u, v,
                             basis: OrthonormalBasis | None = None) -> float:
     """<R(u,v)v, u> where every nabla inside R comes from nabla_from_metric."""
     basis = _check_basis(s, basis)
@@ -99,7 +103,7 @@ _MAX_ATTEMPTS = 200
 
 
 def commuting_pair(seed: int, n: int, deg: int = 3, field: str = REAL,
-                   symmetric: bool = False) -> tuple[MatrixElement, MatrixElement]:
+                   symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Two unit-norm exactly-commuting matrices: random polynomials in one matrix.
 
     Draws a base matrix m (rescaled to unit norm) and two coefficient vectors
@@ -117,29 +121,31 @@ def commuting_pair(seed: int, n: int, deg: int = 3, field: str = REAL,
     for _ in range(_MAX_ATTEMPTS):
         m = random_matrix(rng, n, field)
         if symmetric:
-            m = 0.5 * (m + (m.adjoint() if field == COMPLEX else m.transpose()))
-        if m.norm() == 0.0:
+            m = 0.5 * (m + np.conj(m).T)
+        m_norm = np.linalg.norm(m)
+        if m_norm == 0.0:
             continue
-        m = m / m.norm()
-        powers = [MatrixElement.identity(n, field)]
+        m = m / m_norm
+        powers = [np.eye(n, dtype=m.dtype)]
         for _ in range(deg):
             powers.append(powers[-1] @ m)
         a = rng.uniform(-1.0, 1.0, size=deg + 1)
         b = rng.uniform(-1.0, 1.0, size=deg + 1)
         u = _combine(powers, a)
         v = _combine(powers, b)
-        if u.norm() < _MIN_COMBINATION_NORM or v.norm() < _MIN_COMBINATION_NORM:
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        if nu < _MIN_COMBINATION_NORM or nv < _MIN_COMBINATION_NORM:
             continue
-        u = u / u.norm()
-        v = v / v.norm()
-        if bracket(u, v).norm() <= _COMMUTATOR_CEILING:
+        u = u / nu
+        v = v / nv
+        if np.linalg.norm(bracket(u, v)) <= _COMMUTATOR_CEILING:
             return u, v
     raise RuntimeError(
         f"no admissible commuting pair in {_MAX_ATTEMPTS} draws (seed {seed})")
 
 
-def _combine(powers: list[MatrixElement], coeffs: np.ndarray) -> MatrixElement:
-    acc = np.zeros_like(powers[0].data)
+def _combine(powers: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(powers[0])
     for c, p in zip(coeffs, powers):
-        acc = acc + float(c) * p.data
-    return MatrixElement(acc)
+        acc = acc + float(c) * p
+    return acc

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MatrixElement, bracket, frobenius_norm, random_matrix
+from .algebra import bracket, random_matrix
 from .cartan import CartanStructure, gl_complex, gl_real, theta_split, validate
 from .curvature import (bracket_norm_identity_gap, quartic, quartic_commuting,
                         quartic_special)
@@ -103,15 +103,15 @@ def _suite(name: str, metric: float, bound: float, comparator: str = "<=",
                        detail=detail or {})
 
 
-def _p_sample(s: CartanStructure, rng: np.random.Generator) -> MatrixElement:
+def _p_sample(s: CartanStructure, rng: np.random.Generator) -> np.ndarray:
     return theta_split(s, random_matrix(rng, s.n, s.field)).p_part
 
 
-def _k_sample(s: CartanStructure, rng: np.random.Generator) -> MatrixElement:
+def _k_sample(s: CartanStructure, rng: np.random.Generator) -> np.ndarray:
     return theta_split(s, random_matrix(rng, s.n, s.field)).k_part
 
 
-def _g_sample(s: CartanStructure, rng: np.random.Generator) -> MatrixElement:
+def _g_sample(s: CartanStructure, rng: np.random.Generator) -> np.ndarray:
     return random_matrix(rng, s.n, s.field)
 
 
@@ -122,10 +122,11 @@ def run_verify(structure: Optional[CartanStructure] = None, seed: int = 42,
 
     tol_override, when given, replaces the bound of every "<=" suite (the
     ">=" negative control keeps its floor). Failures are recorded in the
-    report, never raised.
+    report, never raised; trials below 1 raise ValueError.
     """
     t0 = time.perf_counter()
-    trials = max(trials, 1)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     target = structure if structure is not None else gl_real(3)
     label = structure.name if structure is not None else "default"
     rng = np.random.default_rng(seed)
@@ -168,8 +169,7 @@ def _axioms_suite(structure: Optional[CartanStructure], seed: int,
 
 def _example_2x2_suite() -> SuiteResult:
     s = gl_real(2)
-    u = MatrixElement(EXAMPLE_2X2_U)
-    v = MatrixElement(EXAMPLE_2X2_V)
+    u, v = np.array(EXAMPLE_2X2_U), np.array(EXAMPLE_2X2_V)
     q = quartic(s, u, v)
     bn_sq = s.b_theta(bracket(u, v), bracket(u, v))
     metric = max(abs(q), abs(bn_sq - 16.0))
@@ -179,9 +179,8 @@ def _example_2x2_suite() -> SuiteResult:
 
 def _example_3x3_suite() -> SuiteResult:
     s = gl_real(3)
-    u = MatrixElement(EXAMPLE_3X3_U)
-    v = MatrixElement(EXAMPLE_3X3_V)
-    bn = frobenius_norm(bracket(u, v))
+    u, v = np.array(EXAMPLE_3X3_U), np.array(EXAMPLE_3X3_V)
+    bn = float(np.linalg.norm(bracket(u, v)))
     q = quartic(s, u, v)
     qc = quartic_commuting(s, u, v)
     # three normalized sub-checks: exact commutation, strict negativity,
@@ -280,7 +279,7 @@ def _symmetric_iff_suite(rng: np.random.Generator, seed: int,
             u, v = _p_sample(s, rng), _p_sample(s, rng)
         else:
             u, v = commuting_pair(seed + 20_000 + i, 3, symmetric=True)
-        bracket_zero = frobenius_norm(bracket(u, v)) <= 1e-10
+        bracket_zero = np.linalg.norm(bracket(u, v)) <= 1e-10
         scale = s.b_theta(u, u) * s.b_theta(v, v) + 1.0
         quartic_zero = abs(quartic(s, u, v)) <= 1e-12 * scale
         if bracket_zero != quartic_zero:
@@ -296,8 +295,9 @@ def _geodesic_suite(s: CartanStructure, rng: np.random.Generator,
     worst = 0.0
     for _ in range(samples):
         u = random_matrix(rng, s.n, s.field)
-        if u.norm() > 2.0:
-            u = (2.0 / u.norm()) * u
+        u_norm = np.linalg.norm(u)
+        if u_norm > 2.0:
+            u = (2.0 / u_norm) * u
         for t in grid:
             worst = max(worst, geodesic_residual(s, u, t, h=1e-5))
     return _suite("geodesic_residual", worst, GEODESIC_BOUND,
@@ -312,15 +312,17 @@ def _subgroup_suites(rng: np.random.Generator, tangents: int = 10) -> list[Suite
         worst = 0.0
         for _ in range(tangents):
             u = spec.project(random_matrix(rng, spec.n))
-            if u.norm() > 0:
-                u = u / u.norm()
+            u_norm = np.linalg.norm(u)
+            if u_norm > 0:
+                u = u / u_norm
             report = totally_geodesic_check(spec, u, t_max=2.0)
             worst = max(worst, report.max_defect)
         out.append(_suite(suite_name, worst, SUBGROUP_BOUND,
                           detail={"tangents": tangents, "t_max": 2.0}))
     control = builtin_subgroup("ut", 3)
-    u = MatrixElement.unit(3, 0, 1)
-    report = totally_geodesic_check(control, u, t_max=2.0)
+    e12 = np.zeros((3, 3))
+    e12[0, 1] = 1.0
+    report = totally_geodesic_check(control, e12, t_max=2.0)
     out.append(_suite("subgroup_ut3_control", report.max_defect, CONTROL_FLOOR,
                       comparator=">=", detail={"tangent": "E12", "t_max": 2.0}))
     return out

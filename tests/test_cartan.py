@@ -9,13 +9,13 @@ from liecurv import (COMPLEX, REAL, CartanStructure, DimensionMismatch,
                      random_matrix, theta_split, validate)
 
 SQ7 = math.sqrt(7.0)
+norm = np.linalg.norm
 
 
 def test_gl_real_theta_is_negative_transpose():
     s = gl_real(2)
-    e12 = MatrixElement.unit(2, 0, 1)
-    e21 = MatrixElement.unit(2, 1, 0)
-    assert np.array_equal(s.theta(e12).data, (-e21).data)
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(s.theta(e12), [[0.0, 0.0], [-1.0, 0.0]])
 
 
 def test_gl_real_b_theta_is_frobenius():
@@ -37,14 +37,14 @@ def test_gl_complex_b_theta_is_frobenius():
 
 def test_gl_complex_theta_fixes_skew_hermitian():
     s = gl_complex(2)
-    i_eye = MatrixElement(1j * np.eye(2))
-    assert np.array_equal(s.theta(i_eye).data, i_eye.data)
+    i_eye = 1j * np.eye(2)
+    assert np.array_equal(s.theta(i_eye), i_eye)
 
 
 def test_gl_complex_hermitian_orthogonal_to_skew_hermitian():
     s = gl_complex(2)
-    i_e11 = MatrixElement.unit(2, 0, 0, field=COMPLEX, imaginary=True)
-    e11 = MatrixElement.unit(2, 0, 0, field=COMPLEX)
+    e11 = np.diag([1.0 + 0j, 0.0])
+    i_e11 = 1j * e11
     assert s.b_theta(i_e11, e11) == 0.0
 
 
@@ -52,8 +52,8 @@ def test_theta_split_2x2_example():
     s = gl_real(2)
     u = MatrixElement([[1.0, SQ7 / 2.0], [-SQ7 / 2.0, 2.0]])
     parts = theta_split(s, u)
-    assert np.array_equal(parts.p_part.data, np.diag([1.0, 2.0]))
-    assert np.array_equal(parts.k_part.data,
+    assert np.array_equal(parts.p_part, np.diag([1.0, 2.0]))
+    assert np.array_equal(parts.k_part,
                           [[0.0, SQ7 / 2.0], [-SQ7 / 2.0, 0.0]])
 
 
@@ -62,11 +62,11 @@ def test_theta_split_pure_inputs():
     sym = MatrixElement([[1.0, 2.0, 0.0], [2.0, -1.0, 3.0], [0.0, 3.0, 5.0]])
     skew = MatrixElement([[0.0, 1.0, -2.0], [-1.0, 0.0, 4.0], [2.0, -4.0, 0.0]])
     ps = theta_split(s, sym)
-    assert np.array_equal(ps.p_part.data, sym.data)
-    assert np.array_equal(ps.k_part.data, np.zeros((3, 3)))
+    assert np.array_equal(ps.p_part, sym.data)
+    assert np.array_equal(ps.k_part, np.zeros((3, 3)))
     ks = theta_split(s, skew)
-    assert np.array_equal(ks.p_part.data, np.zeros((3, 3)))
-    assert np.array_equal(ks.k_part.data, skew.data)
+    assert np.array_equal(ks.p_part, np.zeros((3, 3)))
+    assert np.array_equal(ks.k_part, skew.data)
 
 
 def test_theta_split_reconstructs_exactly():
@@ -77,8 +77,8 @@ def test_theta_split_reconstructs_exactly():
     for _ in range(20):
         u = random_matrix(rng, 4)
         parts = theta_split(s, u)
-        assert np.array_equal((parts.p_part + parts.k_part).data, u.data)
-        assert np.array_equal(parts.p_part.data, (u.data + u.data.T) / 2.0)
+        assert np.array_equal(parts.p_part + parts.k_part, u)
+        assert np.array_equal(parts.p_part, (u + u.T) / 2.0)
 
 
 def test_theta_split_eigen_property():
@@ -87,15 +87,15 @@ def test_theta_split_eigen_property():
         for _ in range(10):
             u = random_matrix(rng, 3, field)
             parts = theta_split(s, u)
-            assert (s.theta(parts.p_part) + parts.p_part).norm() <= 1e-13 * (u.norm() + 1.0)
-            assert (s.theta(parts.k_part) - parts.k_part).norm() <= 1e-13 * (u.norm() + 1.0)
+            assert norm(s.theta(parts.p_part) + parts.p_part) <= 1e-13 * (norm(u) + 1.0)
+            assert norm(s.theta(parts.k_part) - parts.k_part) <= 1e-13 * (norm(u) + 1.0)
 
 
 def test_theta_split_rejects_wrong_size():
     with pytest.raises(DimensionMismatch):
-        theta_split(gl_real(3), MatrixElement.identity(2))
+        theta_split(gl_real(3), np.eye(2))
     with pytest.raises(DimensionMismatch):
-        theta_split(gl_real(2), MatrixElement.identity(2, field=COMPLEX))
+        theta_split(gl_real(2), np.eye(2, dtype=complex))
 
 
 def test_pure_class():
@@ -107,7 +107,7 @@ def test_pure_class():
 
 
 def test_pure_class_zero_matrix_is_pure():
-    assert pure_class(gl_real(2), MatrixElement.zeros(2)) in ("p", "k")
+    assert pure_class(gl_real(2), np.zeros((2, 2))) in ("p", "k")
 
 
 def test_validate_gl_real_passes():
@@ -130,7 +130,7 @@ def test_validate_flags_corrupted_involution():
     bad = CartanStructure(
         name="bad", n=2, field=REAL,
         theta=lambda m: m.transpose(),
-        bform=lambda a, b: float(np.trace(a.data @ b.data).real))
+        bform=lambda a, b: float(np.trace(a @ b).real))
     report = validate(bad, trials=50)
     assert not report.passed
     positivity = next(c for c in report.checks
@@ -158,11 +158,11 @@ def test_bracket_inclusions_tight():
         p = theta_split(s, random_matrix(rng, 3)).p_part
         q = theta_split(s, random_matrix(rng, 3)).p_part
         kk = theta_split(s, bracket(a, b))
-        assert kk.p_part.norm() <= 1e-13 * a.norm() * b.norm()
+        assert norm(kk.p_part) <= 1e-13 * norm(a) * norm(b)
         pp = theta_split(s, bracket(p, q))
-        assert pp.p_part.norm() <= 1e-13 * p.norm() * q.norm()
+        assert norm(pp.p_part) <= 1e-13 * norm(p) * norm(q)
         kp = theta_split(s, bracket(a, p))
-        assert kp.k_part.norm() <= 1e-13 * a.norm() * p.norm()
+        assert norm(kp.k_part) <= 1e-13 * norm(a) * norm(p)
 
 
 def test_from_selector():
@@ -177,4 +177,4 @@ def test_from_selector():
 
 def test_structure_norm():
     s = gl_real(2)
-    assert s.norm(MatrixElement.identity(2)) == pytest.approx(math.sqrt(2.0))
+    assert s.norm(np.eye(2)) == pytest.approx(math.sqrt(2.0))

@@ -80,6 +80,28 @@ def test_section_csv_not_supported(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["section", "--u", U_2X2, "--v", V_2X2, "--seed", "5"],
+    ["section", "--u", U_2X2, "--v", V_2X2, "--tol", "3"],
+    ["geodesic", "--u", SKEW_3, "--trials", "9"],
+    ["subgroup", "--group", "so:3", "--u", SKEW_3, "--format", "json"],
+    ["subgroup", "--group", "so:3", "--u", SKEW_3, "--structure", "gl:real:3"],
+    ["sample", "--tol", "1e-3"],
+])
+def test_options_a_command_ignores_are_rejected(capsys, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == 2
+
+
+def test_section_overflow_exit_1(capsys):
+    code, out, err = run(capsys, "section",
+                         "--u", "[[1e200,2e200],[3e200,4e200]]",
+                         "--v", "[[0,1e200],[1e200,0]]")
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
 def test_matrix_object_form_and_file_input(capsys, tmp_path):
     obj = {"n": 2, "field": "real", "entries": [0.0, 1.0, 1.0, 0.0]}
     path = tmp_path / "v.json"
@@ -132,6 +154,14 @@ def test_verify_impossible_tolerance_fails(capsys):
 def test_verify_rejects_csv(capsys):
     code, _, _ = run(capsys, "verify", "--format", "csv")
     assert code == 2
+
+
+def test_verify_bad_trials_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--structure", "gl:real:2",
+                         "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert "trials" in err
 
 
 def test_sample_csv_shape_and_signs(capsys):

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from liecurv import (COMPLEX, REAL, DegenerateSection, MatrixElement,
-                     NotCommuting, NotPureType, bracket,
-                     bracket_norm_identity_gap, curvature_tensor, frobenius_norm,
+from liecurv import (COMPLEX, REAL, DegenerateSection, DimensionMismatch,
+                     MatrixElement, NotCommuting, NotPureType, Overflow,
+                     bracket, bracket_norm_identity_gap, curvature_tensor,
                      gl_complex, gl_real, nabla, nabla_case, quartic,
                      quartic_commuting, quartic_special, random_matrix,
                      sectional, theta_split)
 
 SQ7 = math.sqrt(7.0)
+norm = np.linalg.norm
 PAIR_2X2_U = MatrixElement([[1.0, SQ7 / 2.0], [-SQ7 / 2.0, 2.0]])
 PAIR_2X2_V = MatrixElement([[0.0, 1.0], [1.0, 0.0]])
 PAIR_3X3_U = MatrixElement([[1.0, 1.0, -1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
@@ -34,7 +35,7 @@ def test_nabla_pp_example():
     s = gl_real(2)
     u = MatrixElement([[1.0, 0.0], [0.0, 2.0]])
     v = MatrixElement([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(nabla(s, u, v).data, [[0.0, -0.5], [0.5, 0.0]], atol=1e-15)
+    assert np.allclose(nabla(s, u, v), [[0.0, -0.5], [0.5, 0.0]], atol=1e-15)
 
 
 def test_nabla_kp_example():
@@ -42,14 +43,14 @@ def test_nabla_kp_example():
     u = MatrixElement([[0.0, 1.0], [-1.0, 0.0]])
     v = MatrixElement([[1.0, 0.0], [0.0, -1.0]])
     expected = 1.5 * bracket(u, v)
-    assert np.allclose(nabla(s, u, v).data, expected.data, atol=1e-15)
-    assert np.allclose(expected.data, [[0.0, -3.0], [-3.0, 0.0]], atol=1e-15)
+    assert np.allclose(nabla(s, u, v), expected, atol=1e-15)
+    assert np.allclose(expected, [[0.0, -3.0], [-3.0, 0.0]], atol=1e-15)
 
 
 def test_nabla_symmetric_self_vanishes():
     s = gl_real(3)
     u = MatrixElement([[2.0, 1.0, 0.0], [1.0, 0.0, 3.0], [0.0, 3.0, -1.0]])
-    assert nabla(s, u, u).norm() == 0.0
+    assert norm(nabla(s, u, u)) == 0.0
 
 
 def test_nabla_real_closed_form_transpose_shape():
@@ -59,9 +60,8 @@ def test_nabla_real_closed_form_transpose_shape():
     rng = np.random.default_rng(31)
     for _ in range(20):
         u, v = random_matrix(rng, 3), random_matrix(rng, 3)
-        direct = 0.5 * (bracket(u, v) + bracket(u, v.transpose())
-                        + bracket(v, u.transpose()))
-        assert (nabla(s, u, v) - direct).norm() <= 1e-14 * (direct.norm() + 1.0)
+        direct = 0.5 * (bracket(u, v) + bracket(u, v.T) + bracket(v, u.T))
+        assert norm(nabla(s, u, v) - direct) <= 1e-14 * (norm(direct) + 1.0)
 
 
 @pytest.mark.parametrize("cu,cv,coeff", [
@@ -76,8 +76,8 @@ def test_nabla_case_coefficients(cu, cv, coeff):
         v = pick[cv](s, rng)
         value, tag = nabla_case(s, u, v)
         assert tag == f"{cu}_{cv}"
-        assert (value - coeff * bracket(u, v)).norm() == 0.0
-        assert (value - nabla(s, u, v)).norm() <= 1e-13 * (u.norm() * v.norm() + 1.0)
+        assert norm(value - coeff * bracket(u, v)) == 0.0
+        assert norm(value - nabla(s, u, v)) <= 1e-13 * (norm(u) * norm(v) + 1.0)
 
 
 def test_nabla_case_rejects_mixed():
@@ -98,7 +98,7 @@ def test_nabla_metric_compatibility():
         for _ in range(25):
             u, v, w = (random_matrix(rng, s.n, field) for _ in range(3))
             total = s.b_theta(nabla(s, u, v), w) + s.b_theta(v, nabla(s, u, w))
-            assert abs(total) <= 1e-12 * (u.norm() * v.norm() * w.norm() + 1.0)
+            assert abs(total) <= 1e-12 * (norm(u) * norm(v) * norm(w) + 1.0)
 
 
 def test_nabla_torsion_free():
@@ -107,7 +107,7 @@ def test_nabla_torsion_free():
     for _ in range(25):
         u, v = random_matrix(rng, 3), random_matrix(rng, 3)
         gap = nabla(s, u, v) - nabla(s, v, u) - bracket(u, v)
-        assert gap.norm() <= 1e-13 * (u.norm() * v.norm() + 1.0)
+        assert norm(gap) <= 1e-13 * (norm(u) * norm(v) + 1.0)
 
 
 def test_nabla_koszul_consistency():
@@ -129,7 +129,7 @@ def test_curvature_tensor_vanishes_on_equal_arguments():
     s = gl_real(3)
     rng = np.random.default_rng(53)
     u, w = random_matrix(rng, 3), random_matrix(rng, 3)
-    assert curvature_tensor(s, u, u, w).norm() == 0.0
+    assert norm(curvature_tensor(s, u, u, w)) == 0.0
 
 
 def test_curvature_tensor_antisymmetry():
@@ -139,7 +139,7 @@ def test_curvature_tensor_antisymmetry():
         u, v, w = (random_matrix(rng, 3) for _ in range(3))
         forward = curvature_tensor(s, u, v, w)
         backward = curvature_tensor(s, v, u, w)
-        assert (forward + backward).norm() <= 1e-12 * (forward.norm() + 1.0)
+        assert norm(forward + backward) <= 1e-12 * (norm(forward) + 1.0)
 
 
 def test_curvature_tensor_symmetric_triple():
@@ -150,7 +150,7 @@ def test_curvature_tensor_symmetric_triple():
         u, v = _p_sample(s, rng), _p_sample(s, rng)
         value = curvature_tensor(s, u, v, v)
         direct = -1.75 * bracket(bracket(u, v), v)
-        assert (value - direct).norm() <= 1e-12 * (direct.norm() + 1.0)
+        assert norm(value - direct) <= 1e-12 * (norm(direct) + 1.0)
 
 
 def test_curvature_tensor_pair_symmetry():
@@ -181,7 +181,7 @@ def test_cross_term_claim():
         parts = theta_split(s, random_matrix(rng, 3))
         for v in (_p_sample(s, rng), _k_sample(s, rng)):
             val = s.b_theta(curvature_tensor(s, parts.p_part, v, v), parts.k_part)
-            assert abs(val) <= 1e-12 * (v.norm() ** 2 + 1.0)
+            assert abs(val) <= 1e-12 * (norm(v) ** 2 + 1.0)
 
 
 # -- quartic and sectional ----------------------------------------------------
@@ -229,9 +229,8 @@ def test_sectional_report_terms_sum():
 
 def test_sectional_orthonormal_pair():
     s = gl_real(2)
-    u = MatrixElement.unit(2, 0, 1)
-    v = MatrixElement.unit(2, 1, 0)
-    rep = sectional(s, u, v)
+    u = np.array([[0.0, 1.0], [0.0, 0.0]])
+    rep = sectional(s, u, u.T)
     assert rep.area_sq == 1.0
     assert rep.sectional == rep.quartic
 
@@ -250,9 +249,28 @@ def test_sectional_so3_generators():
 
 def test_sectional_degenerate_rejected():
     s = gl_real(2)
-    u = MatrixElement([[1.0, 2.0], [3.0, 4.0]])
+    u = np.array([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DegenerateSection):
         sectional(s, u, 2.0 * u)
+
+
+def test_sectional_overflow_is_caught_before_degeneracy():
+    # the brackets overflow to inf - inf = nan; previously this surfaced as
+    # a non-finite MatrixElement
+    u = MatrixElement([[1e200, 2e200], [3e200, 4e200]])
+    v = MatrixElement([[0.0, 1e200], [1e200, 0.0]])
+    with pytest.raises(Overflow):
+        sectional(gl_real(2), u, v)
+    with pytest.raises(Overflow):
+        sectional(gl_real(2), u, u)
+
+
+def test_nabla_quartic_dimension_mismatch():
+    for fn in (nabla, quartic):
+        with pytest.raises(DimensionMismatch):
+            fn(gl_real(2), np.eye(2), np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            fn(gl_real(2), np.eye(2), np.eye(2, dtype=complex))
 
 
 def test_sectional_scaling_and_shear_invariance():
@@ -320,8 +338,7 @@ def test_quartic_special_all_pure_cases_match_general():
 def test_quartic_special_rejects_mixed_v():
     s = gl_real(2)
     with pytest.raises(NotPureType):
-        quartic_special(s, MatrixElement.identity(2),
-                        MatrixElement([[1.0, 1.0], [0.0, 1.0]]))
+        quartic_special(s, np.eye(2), [[1.0, 1.0], [0.0, 1.0]])
 
 
 def test_quartic_commuting_3x3_pair():
@@ -366,7 +383,7 @@ def test_symmetric_iff_forward():
     rng = np.random.default_rng(107)
     for _ in range(50):
         u, v = _p_sample(s, rng), _p_sample(s, rng)
-        if frobenius_norm(bracket(u, v)) > 1e-10:
+        if norm(bracket(u, v)) > 1e-10:
             assert quartic(s, u, v) < 0.0
 
 
@@ -389,8 +406,8 @@ def test_skew_iff_both_directions():
         u = random_matrix(rng, 3)
         v = _k_sample(s, rng)
         q = quartic(s, u, v)
-        bn = frobenius_norm(bracket(u, v))
-        assert (q <= 1e-12 * (u.norm() * v.norm() + 1.0) ** 2) == (bn <= 1e-6)
+        bn = norm(bracket(u, v))
+        assert (q <= 1e-12 * (norm(u) * norm(v) + 1.0) ** 2) == (bn <= 1e-6)
 
 
 # -- bracket-norm decomposition ----------------------------------------------
