@@ -22,8 +22,7 @@ from .errors import (DegenerateSection, DimensionMismatch, IncompleteBasis,
                      LieCurvError, NotCommuting, NotPureType, Overflow,
                      TangentNotInAlgebra, UnknownGroup)
 from .geodesics import (GeodesicSample, SubgroupSpec, TotallyGeodesicReport,
-                        builtin_subgroup, experimental_geodesic_body_velocity,
-                        experimental_geodesic_point, geodesic_body_velocity,
+                        builtin_subgroup, geodesic_body_velocity,
                         geodesic_point, geodesic_residual, geodesic_trace,
                         subgroup_from_selector, totally_geodesic_check)
 from .oracles import (OrthonormalBasis, commuting_pair, nabla_from_metric,
@@ -46,8 +45,7 @@ __all__ = [
     "NotCommuting", "NotPureType", "Overflow", "TangentNotInAlgebra",
     "UnknownGroup",
     "GeodesicSample", "SubgroupSpec", "TotallyGeodesicReport",
-    "builtin_subgroup", "experimental_geodesic_body_velocity",
-    "experimental_geodesic_point", "geodesic_body_velocity", "geodesic_point",
+    "builtin_subgroup", "geodesic_body_velocity", "geodesic_point",
     "geodesic_residual", "geodesic_trace", "subgroup_from_selector",
     "totally_geodesic_check",
     "OrthonormalBasis", "commuting_pair", "nabla_from_metric",

@@ -39,6 +39,9 @@ GEODESIC_BOUND = 1e-6
 SUBGROUP_BOUND = 1e-9
 CONTROL_FLOOR = 1e-3
 EXAMPLE_BOUND = 1e-10
+# ratio (pass line 1) and count (pass line 0) suites: --tol must not move them
+FIXED_BOUND_SUITES = frozenset({"structure_axioms", "example_3x3",
+                                "symmetric_iff"})
 
 EXAMPLE_2X2_U = [[1.0, math.sqrt(7.0) / 2.0], [-math.sqrt(7.0) / 2.0, 2.0]]
 EXAMPLE_2X2_V = [[0.0, 1.0], [1.0, 0.0]]
@@ -120,9 +123,10 @@ def run_verify(structure: Optional[CartanStructure] = None, seed: int = 42,
                tol_override: Optional[float] = None) -> VerifyReport:
     """Run every suite and collect the certificate.
 
-    tol_override, when given, replaces the bound of every "<=" suite (the
-    ">=" negative control keeps its floor). Failures are recorded in the
-    report, never raised; trials below 1 raise ValueError.
+    tol_override, when given, replaces the bound of every "<=" error suite;
+    the ratio and count suites in FIXED_BOUND_SUITES and the ">=" negative
+    control keep theirs. Failures are recorded in the report, never raised;
+    trials below 1 raise ValueError.
     """
     t0 = time.perf_counter()
     if trials < 1:
@@ -146,7 +150,8 @@ def run_verify(structure: Optional[CartanStructure] = None, seed: int = 42,
 
     if tol_override is not None:
         suites = [_suite(s.name, s.metric, tol_override, "<=", s.detail)
-                  if s.comparator == "<=" else s
+                  if s.comparator == "<=" and s.name not in FIXED_BOUND_SUITES
+                  else s
                   for s in suites]
 
     return VerifyReport(structure=label, seed=seed, trials=trials,

@@ -6,8 +6,7 @@ import pytest
 
 from liecurv import (COMPLEX, REAL, DimensionMismatch, MatrixElement, Overflow,
                      bracket, bracket_norm_identity_gap, builtin_subgroup,
-                     curvature_tensor, experimental_geodesic_body_velocity,
-                     experimental_geodesic_point, frobenius_inner,
+                     curvature_tensor, frobenius_inner,
                      geodesic_body_velocity, geodesic_point, geodesic_residual,
                      geodesic_trace, gl_real, matrix_exp, matrix_from_json,
                      matrix_to_json, nabla, nabla_case, nabla_from_metric,
@@ -250,12 +249,8 @@ EDGE_CASES = {
     "nabla_from_metric": lambda m: nabla_from_metric(S3, m["u"], m["v"]),
     "quartic_from_definition":
         lambda m: quartic_from_definition(S3, m["u"], m["w"]),
-    "geodesic_point": lambda m: geodesic_point(m["u"], 0.7),
-    "geodesic_body_velocity": lambda m: geodesic_body_velocity(m["u"], 0.7),
-    "experimental_geodesic_point":
-        lambda m: experimental_geodesic_point(S3, m["u"], 0.7),
-    "experimental_geodesic_body_velocity":
-        lambda m: experimental_geodesic_body_velocity(S3, m["u"], 0.7),
+    "geodesic_point": lambda m: geodesic_point(S3, m["u"], 0.7),
+    "geodesic_body_velocity": lambda m: geodesic_body_velocity(S3, m["u"], 0.7),
     "geodesic_residual": lambda m: geodesic_residual(S3, m["u"], 0.7),
     "geodesic_trace": lambda m: geodesic_trace(S3, m["u"], steps=3),
     "totally_geodesic_check":

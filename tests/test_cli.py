@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,20 @@ def test_verify_impossible_tolerance_fails(capsys):
     assert "oracle_agreement" in failing
 
 
+def test_verify_tol_moves_only_error_bounds(capsys):
+    # ratio suites pass at 1, the iff suite counts violations: --tol must
+    # not move either pass line
+    code, out, _ = run(capsys, "verify", "--structure", "gl:real:2",
+                       "--trials", "1", "--tol", "10")
+    assert code == 0
+    bounds = {s["name"]: s["bound"] for s in json.loads(out)["suites"]}
+    assert bounds["structure_axioms"] == 1.0
+    assert bounds["example_3x3"] == 1.0
+    assert bounds["symmetric_iff"] == 0.0
+    assert bounds["oracle_agreement"] == 10.0
+    assert bounds["subgroup_ut3_control"] == 1e-3
+
+
 def test_verify_rejects_csv(capsys):
     code, _, _ = run(capsys, "verify", "--format", "csv")
     assert code == 2
@@ -240,6 +255,9 @@ def test_geodesic_complex_csv_rejected(capsys):
 def test_geodesic_bad_steps_exit_2(capsys):
     code, _, _ = run(capsys, "geodesic", "--u", SKEW_3, "--steps", "1")
     assert code == 2
+    code, _, _ = run(capsys, "subgroup", "--group", "so:3", "--u", SKEW_3,
+                     "--steps", "1")
+    assert code == 2
 
 
 def test_subgroup_so3_passes(capsys):
@@ -262,6 +280,18 @@ def test_subgroup_tangency_violation_exit_4(capsys):
     code, _, err = run(capsys, "subgroup", "--group", "so:3", "--u", SYM_3)
     assert code == 4
     assert "defect" in err
+
+
+def test_subgroup_complex_tangent_exit_2_without_warning(capsys):
+    u = json.dumps({"n": 2, "field": "complex",
+                    "entries": [[1, 0], [0, 1], [0, 0], [-1, 0]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "subgroup", "--group", "sl:2", "--u", u)
+    assert code == 2
+    assert out == ""
+    assert "ComplexWarning" not in err
+    assert "does not belong to gl:real:2" in err
 
 
 def test_subgroup_unknown_group_exit_2(capsys):

@@ -1,14 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from liecurv import (COMPLEX, DimensionMismatch, MatrixElement, Overflow,
                      TangentNotInAlgebra, UnknownGroup, builtin_subgroup,
-                     experimental_geodesic_body_velocity,
-                     experimental_geodesic_point, geodesic_body_velocity,
-                     geodesic_point, geodesic_residual, geodesic_trace,
-                     gl_complex, gl_real, random_matrix, subgroup_from_selector,
-                     totally_geodesic_check)
+                     geodesic_body_velocity, geodesic_point, geodesic_residual,
+                     geodesic_trace, gl_complex, gl_real, random_matrix,
+                     subgroup_from_selector, totally_geodesic_check)
+from liecurv import geodesics
 
 SKEW_3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 SYM_3 = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 0.5]])
@@ -17,19 +18,19 @@ norm = np.linalg.norm
 
 def test_geodesic_point_at_zero_is_identity():
     u = MatrixElement([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(geodesic_point(u, 0.0), np.eye(2))
+    assert np.array_equal(geodesic_point(gl_real(2), u, 0.0), np.eye(2))
 
 
 def test_geodesic_point_symmetric_tangent():
     # u symmetric collapses the product to a single exponential
     for t in (0.3, 1.0, 1.7):
-        gamma = geodesic_point(SYM_3, t)
+        gamma = geodesic_point(gl_real(3), SYM_3, t)
         assert np.allclose(gamma, expm(t * SYM_3), rtol=1e-12, atol=1e-13)
 
 
 def test_geodesic_point_skew_tangent_is_orthogonal():
     for t in (0.5, 1.0, 2.0):
-        gamma = geodesic_point(SKEW_3, t)
+        gamma = geodesic_point(gl_real(3), SKEW_3, t)
         assert np.allclose(gamma, expm(t * SKEW_3), rtol=1e-12, atol=1e-13)
         assert norm(gamma.T @ gamma - np.eye(3)) <= 1e-12
 
@@ -37,9 +38,9 @@ def test_geodesic_point_skew_tangent_is_orthogonal():
 def test_geodesic_point_rejects_complex():
     u = 1j * np.eye(2)
     with pytest.raises(DimensionMismatch):
-        geodesic_point(u, 1.0)
+        geodesic_point(gl_real(2), u, 1.0)
     with pytest.raises(DimensionMismatch):
-        geodesic_body_velocity(u, 1.0)
+        geodesic_body_velocity(gl_real(2), u, 1.0)
 
 
 def test_geodesic_point_is_invertible():
@@ -47,44 +48,46 @@ def test_geodesic_point_is_invertible():
     for _ in range(10):
         u = random_matrix(rng, 3)
         t = float(rng.uniform(0.0, 2.0))
-        assert abs(np.linalg.det(geodesic_point(u, t))) > 1e-8
+        assert abs(np.linalg.det(geodesic_point(gl_real(3), u, t))) > 1e-8
 
 
 def test_body_velocity_at_zero_is_tangent():
     rng = np.random.default_rng(13)
     for _ in range(5):
         u = random_matrix(rng, 3)
-        assert norm(geodesic_body_velocity(u, 0.0) - u) <= 1e-14
+        assert norm(geodesic_body_velocity(gl_real(3), u, 0.0) - u) <= 1e-14
 
 
 def test_body_velocity_constant_for_symmetric():
     for t in (0.0, 0.8, 2.0):
-        assert norm(geodesic_body_velocity(SYM_3, t) - SYM_3) == 0.0
+        assert norm(geodesic_body_velocity(gl_real(3), SYM_3, t) - SYM_3) == 0.0
 
 
 def test_body_velocity_matches_finite_difference():
+    # omega = gamma^-1 gamma' on both fields
     rng = np.random.default_rng(19)
     h = 1e-5
     t = 0.7
-    for _ in range(10):
-        u = random_matrix(rng, 3)
-        omega = geodesic_body_velocity(u, t)
-        gamma = geodesic_point(u, t)
-        fd = np.linalg.solve(gamma, (geodesic_point(u, t + h)
-                                     - geodesic_point(u, t - h)) / (2.0 * h))
-        assert norm(omega - fd) <= 1e-6
+    for s in (gl_real(3), gl_complex(2), gl_complex(3)):
+        for _ in range(10):
+            u = random_matrix(rng, s.n, s.field)
+            omega = geodesic_body_velocity(s, u, t)
+            gamma = geodesic_point(s, u, t)
+            fd = np.linalg.solve(gamma, (geodesic_point(s, u, t + h)
+                                         - geodesic_point(s, u, t - h)) / (2.0 * h))
+            assert norm(omega - fd) <= 1e-6
 
 
-def test_experimental_matches_real_formula_on_gl_real():
+def test_geodesic_point_is_the_real_closed_form_on_gl_real():
+    # exp(-t theta u) exp(t (u + theta u)) is exp(t u^T) exp(t (u - u^T))
+    # bit-for-bit when theta u = -u^T
     s = gl_real(3)
     rng = np.random.default_rng(23)
     for _ in range(10):
         u = random_matrix(rng, 3)
         t = float(rng.uniform(0.0, 2.0))
-        assert np.array_equal(experimental_geodesic_point(s, u, t),
-                              geodesic_point(u, t))
-        assert np.array_equal(experimental_geodesic_body_velocity(s, u, t),
-                              geodesic_body_velocity(u, t))
+        assert np.array_equal(geodesic_point(s, u, t),
+                              expm(t * u.T) @ expm(t * (u - u.T)))
 
 
 def test_geodesic_residual_symmetric_tangent():
@@ -138,6 +141,23 @@ def test_geodesic_trace_grid():
     assert all(x.residual <= 1e-6 for x in samples)
     with pytest.raises(ValueError):
         geodesic_trace(s, SKEW_3, steps=1)
+
+
+def test_geodesic_trace_reuses_its_body_velocity(monkeypatch):
+    # 8 matrix_exp calls per grid point: two each for gamma and omega, and
+    # two each for omega(t + h) and omega(t - h) in the residual
+    s = gl_real(3)
+    u = random_matrix(np.random.default_rng(43), 3)
+    calls = []
+    exp = geodesics.matrix_exp
+    monkeypatch.setattr(geodesics, "matrix_exp",
+                        lambda a: calls.append(1) or exp(a))
+    samples = geodesic_trace(s, u, steps=64)
+    monkeypatch.undo()
+    assert len(calls) == 512
+    for x in samples:
+        assert np.array_equal(x.omega, geodesic_body_velocity(s, u, x.t))
+        assert x.residual == geodesic_residual(s, u, x.t)
 
 
 # -- subgroups ----------------------------------------------------------------
@@ -245,5 +265,11 @@ def test_totally_geodesic_check_input_validation():
     spec = builtin_subgroup("so", 3)
     with pytest.raises(DimensionMismatch):
         totally_geodesic_check(spec, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    # a complex tangent is rejected before the real algebra_defect can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch):
+            totally_geodesic_check(builtin_subgroup("sl", 2),
+                                   np.array([[1.0, 1.0j], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         totally_geodesic_check(spec, SKEW_3, steps=1)
