@@ -13,7 +13,7 @@ from .algebra import (COMPLEX, REAL, MatrixElement, bracket, frobenius_inner,
                       random_element, random_matrix)
 from .cartan import (AxiomCheck, CartanStructure, ThetaSplit, ValidationReport,
                      from_selector, gl_complex, gl_real, pure_class,
-                     theta_split, validate)
+                     standard_basis, theta_split, validate)
 from .curvature import (SectionReport, bracket_norm_identity_gap,
                         curvature_tensor, nabla, nabla_case, quartic,
                         quartic_commuting, quartic_special, quartic_terms,
@@ -25,8 +25,7 @@ from .geodesics import (GeodesicSample, SubgroupSpec, TotallyGeodesicReport,
                         builtin_subgroup, geodesic_body_velocity,
                         geodesic_point, geodesic_residual, geodesic_trace,
                         subgroup_from_selector, totally_geodesic_check)
-from .oracles import (OrthonormalBasis, commuting_pair, nabla_from_metric,
-                      quartic_from_definition, standard_basis)
+from .oracles import commuting_pair, nabla_from_metric, quartic_from_definition
 from .verify import SuiteResult, VerifyReport, run_verify
 
 __version__ = "0.1.0"
@@ -36,8 +35,8 @@ __all__ = [
     "matrix_exp", "matrix_from_json", "matrix_to_json", "random_element",
     "random_matrix",
     "AxiomCheck", "CartanStructure", "ThetaSplit", "ValidationReport",
-    "from_selector", "gl_complex", "gl_real", "pure_class", "theta_split",
-    "validate",
+    "from_selector", "gl_complex", "gl_real", "pure_class", "standard_basis",
+    "theta_split", "validate",
     "SectionReport", "bracket_norm_identity_gap", "curvature_tensor", "nabla",
     "nabla_case", "quartic", "quartic_commuting", "quartic_special",
     "quartic_terms", "sectional",
@@ -48,8 +47,7 @@ __all__ = [
     "builtin_subgroup", "geodesic_body_velocity", "geodesic_point",
     "geodesic_residual", "geodesic_trace", "subgroup_from_selector",
     "totally_geodesic_check",
-    "OrthonormalBasis", "commuting_pair", "nabla_from_metric",
-    "quartic_from_definition", "standard_basis",
+    "commuting_pair", "nabla_from_metric", "quartic_from_definition",
     "SuiteResult", "VerifyReport", "run_verify",
     "__version__",
 ]

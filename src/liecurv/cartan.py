@@ -1,17 +1,17 @@
 """Cartan structures on matrix algebras.
 
 A structure packages the data a reductive matrix group carries: an involution
-theta on the Lie algebra, an Ad-invariant symmetric bilinear form B, the
-derived inner product B_theta(u, v) = -B(u, theta v), and the eigenspace
-split g = k + p (k the +1 eigenspace of theta, p the -1 eigenspace). For the
-full general linear groups
+theta on the Lie algebra, the derived inner product B_theta(u, v) = -B(u,
+theta v) with B the trace form Re tr(uv), and the eigenspace split g = k + p
+(k the +1 eigenspace of theta, p the -1 eigenspace). For the full general
+linear groups
 
-    gl(n, R): theta u = -u^T,  B(u, v) = tr(uv)    -> p symmetric, k skew
-    gl(n, C): theta u = -u*,   B(u, v) = Re tr(uv) -> p Hermitian, k skew-Hermitian
+    gl(n, R): theta u = -u^T  -> p symmetric, k skew
+    gl(n, C): theta u = -u*   -> p Hermitian, k skew-Hermitian
 
 and B_theta is the Frobenius inner product in both cases. Structures carry
-closures for theta and B so new reductive instances can be registered without
-touching this module; the closures must be pure functions.
+theta as a closure so new reductive instances can be registered without
+touching this module; the closure must be a pure function.
 """
 
 from __future__ import annotations
@@ -27,16 +27,15 @@ from .errors import DimensionMismatch, NotPureType
 
 @dataclass(frozen=True)
 class CartanStructure:
-    """Algebraic package (name, n, field, theta, B) with derived helpers.
+    """Algebraic package (name, n, field, theta) with derived helpers.
 
-    theta and bform act on ndarrays: theta returns an array, bform a float.
+    theta maps an ndarray to an ndarray.
     """
 
     name: str
     n: int
     field: str
     theta: Callable[[np.ndarray], np.ndarray]
-    bform: Callable[[np.ndarray, np.ndarray], float]
 
     @property
     def real_dim(self) -> int:
@@ -47,7 +46,7 @@ class CartanStructure:
     def b_theta(self, u, v) -> float:
         """Derived inner product -B(u, theta v): the metric everything
         downstream uses."""
-        return -self.bform(np.asarray(u), self.theta(np.asarray(v)))
+        return -_trace_form(np.asarray(u), self.theta(np.asarray(v)))
 
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.b_theta(u, u), 0.0)))
@@ -86,7 +85,7 @@ def _gl(n: int, field: str) -> CartanStructure:
     if n < 1:
         raise DimensionMismatch(f"n must be >= 1, got {n}")
     return CartanStructure(name=f"gl:{field}:{n}", n=n, field=field,
-                           theta=_theta, bform=_trace_form)
+                           theta=_theta)
 
 
 def _theta(u: np.ndarray) -> np.ndarray:
@@ -96,6 +95,24 @@ def _theta(u: np.ndarray) -> np.ndarray:
 
 def _trace_form(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.trace(u @ v).real)
+
+
+def standard_basis(s: CartanStructure) -> tuple[np.ndarray, ...]:
+    """Matrix-cell basis of the algebra: E_ij, plus i E_ij over the complex field.
+
+    The cells are exactly orthonormal under B_theta (the Frobenius inner
+    product), so no re-orthonormalization is applied.
+    """
+    dtype = np.complex128 if s.field == COMPLEX else np.float64
+    units = (1.0, 1j) if s.field == COMPLEX else (1.0,)
+    elems = []
+    for unit in units:
+        for i in range(s.n):
+            for j in range(s.n):
+                e = np.zeros((s.n, s.n), dtype=dtype)
+                e[i, j] = unit
+                elems.append(e)
+    return tuple(elems)
 
 
 def from_selector(text: str) -> CartanStructure:
@@ -150,10 +167,6 @@ class AxiomCheck:
     tolerance: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "error": self.error,
-                "tolerance": self.tolerance, "passed": self.passed}
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -171,10 +184,6 @@ class ValidationReport:
         """Largest error/tolerance ratio across axioms (1.0 is the pass line)."""
         return max(c.error / c.tolerance for c in self.checks)
 
-    def as_dict(self) -> dict:
-        return {"structure": self.structure, "seed": self.seed, "trials": self.trials,
-                "passed": self.passed, "checks": [c.as_dict() for c in self.checks]}
-
 
 def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
              seed: int = 42) -> ValidationReport:
@@ -184,18 +193,20 @@ def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
     and ad-invariant, B_theta is positive definite on the standard cell basis,
     the p/k split is B_theta-orthogonal, and the bracket inclusions
     [k,k] in k, [p,p] in k, [k,p] in p hold. Failures land in the report;
-    nothing is raised.
+    nothing is raised, except ValueError for trials < 2 (the pair axioms
+    need at least one pair of samples).
     """
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
     rng = np.random.default_rng(seed)
-    samples = [random_matrix(rng, s.n, s.field) for _ in range(max(trials, 1))]
+    samples = [random_matrix(rng, s.n, s.field) for _ in range(trials)]
 
     def worst(fn) -> float:
         return max(fn(u) for u in samples)
 
     def worst_pair(fn) -> float:
         it = iter(samples)
-        errs = [fn(a, b) for a, b in zip(it, it)]
-        return max(errs) if errs else 0.0
+        return max(fn(a, b) for a, b in zip(it, it))
 
     norm = np.linalg.norm
     checks = []
@@ -208,12 +219,12 @@ def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
         / (norm(u) * norm(v) + 1e-14))))
 
     checks.append(_check("bform_symmetry", tol, worst_pair(
-        lambda u, v: abs(s.bform(u, v) - s.bform(v, u))
+        lambda u, v: abs(_trace_form(u, v) - _trace_form(v, u))
         / (norm(u) * norm(v) + 1e-14))))
 
     def ad_invariance(u: np.ndarray) -> float:
         x, y, z = u, samples[0], samples[-1]
-        gap = abs(s.bform(bracket(x, y), z) + s.bform(y, bracket(x, z)))
+        gap = abs(_trace_form(bracket(x, y), z) + _trace_form(y, bracket(x, z)))
         return gap / (norm(x) * norm(y) * norm(z) + 1e-14)
     checks.append(_check("bform_ad_invariance", tol, worst(ad_invariance)))
 
@@ -253,8 +264,7 @@ def _check(name: str, tol: float, error: float) -> AxiomCheck:
 
 
 def _basis_gram(s: CartanStructure) -> np.ndarray:
-    from .oracles import standard_basis  # local import to avoid a cycle
-    elems = standard_basis(s).elements
+    elems = standard_basis(s)
     g = np.empty((len(elems), len(elems)))
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):

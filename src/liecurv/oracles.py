@@ -14,69 +14,34 @@ the commuting-pair theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import COMPLEX, REAL, bracket, random_matrix
-from .cartan import CartanStructure
+from .algebra import REAL, bracket, random_matrix
+from .cartan import CartanStructure, standard_basis
 from .errors import DimensionMismatch, IncompleteBasis
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
-    """B_theta-orthonormal spanning set of a structure's algebra, held as
-    ndarrays (array-like elements are converted on construction)."""
-
-    structure: str
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements",
-                           tuple(np.asarray(e) for e in self.elements))
-
-
-def standard_basis(s: CartanStructure) -> OrthonormalBasis:
-    """Matrix-cell basis of the algebra: E_ij, plus i E_ij over the complex field.
-
-    The cells are exactly orthonormal under the Frobenius inner product, so
-    no re-orthonormalization is applied. Raises IncompleteBasis if the cell
-    count does not match the structure's declared real dimension.
-    """
-    dtype = np.complex128 if s.field == COMPLEX else np.float64
-    units = (1.0, 1j) if s.field == COMPLEX else (1.0,)
-    elems = []
-    for unit in units:
-        for i in range(s.n):
-            for j in range(s.n):
-                e = np.zeros((s.n, s.n), dtype=dtype)
-                e[i, j] = unit
-                elems.append(e)
-    if len(elems) != s.real_dim:
-        raise IncompleteBasis(
-            f"{len(elems)} cells span a dim-{len(elems)} space but {s.name} "
-            f"declares real dimension {s.real_dim}")
-    return OrthonormalBasis(structure=s.name, elements=tuple(elems))
-
-
-def _check_basis(s: CartanStructure, basis: OrthonormalBasis | None) -> OrthonormalBasis:
+def _check_basis(s: CartanStructure,
+                 basis: Sequence[np.ndarray] | None) -> Sequence[np.ndarray]:
     if basis is None:
         return standard_basis(s)
-    if len(basis.elements) != s.real_dim:
+    if len(basis) != s.real_dim:
         raise IncompleteBasis(
-            f"basis has {len(basis.elements)} elements, algebra of {s.name} "
+            f"basis has {len(basis)} elements, algebra of {s.name} "
             f"has real dimension {s.real_dim}")
     return basis
 
 
 def nabla_from_metric(s: CartanStructure, u, v,
-                      basis: OrthonormalBasis | None = None) -> np.ndarray:
+                      basis: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """Connection solved from the metric identity over a basis (definition route)."""
     basis = _check_basis(s, basis)
     u, v = s.check_member(u), s.check_member(v)
     uv = bracket(u, v)
     acc = np.zeros_like(u)
-    for e in basis.elements:
+    for e in basis:
         coeff = 0.5 * (s.b_theta(uv, e)
                        - s.b_theta(bracket(v, e), u)
                        - s.b_theta(bracket(u, e), v))
@@ -85,7 +50,7 @@ def nabla_from_metric(s: CartanStructure, u, v,
 
 
 def quartic_from_definition(s: CartanStructure, u, v,
-                            basis: OrthonormalBasis | None = None) -> float:
+                            basis: Sequence[np.ndarray] | None = None) -> float:
     """<R(u,v)v, u> where every nabla inside R comes from nabla_from_metric."""
     basis = _check_basis(s, basis)
     r = (nabla_from_metric(s, u, nabla_from_metric(s, v, v, basis), basis)

@@ -24,12 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .algebra import bracket, random_matrix
-from .cartan import CartanStructure, gl_complex, gl_real, theta_split, validate
+from .cartan import (CartanStructure, gl_complex, gl_real, standard_basis,
+                     theta_split, validate)
 from .curvature import (bracket_norm_identity_gap, quartic, quartic_commuting,
                         quartic_special)
 from .geodesics import (builtin_subgroup, geodesic_residual,
                         totally_geodesic_check)
-from .oracles import commuting_pair, quartic_from_definition, standard_basis
+from .oracles import commuting_pair, quartic_from_definition
 
 SIGN_BOUND = 1e-12
 ORACLE_BOUND = 1e-8
@@ -39,9 +40,6 @@ GEODESIC_BOUND = 1e-6
 SUBGROUP_BOUND = 1e-9
 CONTROL_FLOOR = 1e-3
 EXAMPLE_BOUND = 1e-10
-# ratio (pass line 1) and count (pass line 0) suites: --tol must not move them
-FIXED_BOUND_SUITES = frozenset({"structure_axioms", "example_3x3",
-                                "symmetric_iff"})
 
 EXAMPLE_2X2_U = [[1.0, math.sqrt(7.0) / 2.0], [-math.sqrt(7.0) / 2.0, 2.0]]
 EXAMPLE_2X2_V = [[0.0, 1.0], [1.0, 0.0]]
@@ -51,18 +49,25 @@ EXAMPLE_3X3_V = [[0.0, -1.0, 1.0], [-1.0, 2.0, -1.0], [-2.0, 2.0, -1.0]]
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """One verification suite: a scalar metric against its bound."""
+    """One verification suite: a scalar metric against its bound.
+
+    kind says what the bound means: "absolute" (an error that stays below a
+    tolerance), "ratio" (a normalized error, pass line 1), "count" (a
+    number of violations, pass line 0) or "floor" (a control that stays
+    above its bound). Only absolute bounds follow --tol.
+    """
 
     name: str
     metric: float
     bound: float
-    comparator: str  # "<=" (error stays below) or ">=" (control stays above)
+    kind: str
     passed: bool
     detail: dict
 
     def as_dict(self) -> dict:
+        comparator = ">=" if self.kind == "floor" else "<="
         return {"name": self.name, "max_error": self.metric, "bound": self.bound,
-                "comparator": self.comparator, "passed": self.passed,
+                "comparator": comparator, "passed": self.passed,
                 "detail": self.detail}
 
 
@@ -98,12 +103,11 @@ def rel_gap(a: float, b: float) -> float:
     return abs(a - b) / (max(abs(a), abs(b)) + 1.0)
 
 
-def _suite(name: str, metric: float, bound: float, comparator: str = "<=",
+def _suite(name: str, metric: float, bound: float, kind: str = "absolute",
            detail: Optional[dict] = None) -> SuiteResult:
-    ok = metric <= bound if comparator == "<=" else metric >= bound
+    ok = metric >= bound if kind == "floor" else metric <= bound
     return SuiteResult(name=name, metric=float(metric), bound=float(bound),
-                       comparator=comparator, passed=bool(ok),
-                       detail=detail or {})
+                       kind=kind, passed=bool(ok), detail=detail or {})
 
 
 def _p_sample(s: CartanStructure, rng: np.random.Generator) -> np.ndarray:
@@ -123,10 +127,9 @@ def run_verify(structure: Optional[CartanStructure] = None, seed: int = 42,
                tol_override: Optional[float] = None) -> VerifyReport:
     """Run every suite and collect the certificate.
 
-    tol_override, when given, replaces the bound of every "<=" error suite;
-    the ratio and count suites in FIXED_BOUND_SUITES and the ">=" negative
-    control keep theirs. Failures are recorded in the report, never raised;
-    trials below 1 raise ValueError.
+    tol_override, when given, replaces the bound of every absolute suite;
+    ratio, count and floor suites keep theirs. Failures are recorded in the
+    report, never raised; trials below 1 raise ValueError.
     """
     t0 = time.perf_counter()
     if trials < 1:
@@ -149,9 +152,8 @@ def run_verify(structure: Optional[CartanStructure] = None, seed: int = 42,
     suites.extend(_subgroup_suites(rng))
 
     if tol_override is not None:
-        suites = [_suite(s.name, s.metric, tol_override, "<=", s.detail)
-                  if s.comparator == "<=" and s.name not in FIXED_BOUND_SUITES
-                  else s
+        suites = [_suite(s.name, s.metric, tol_override, s.kind, s.detail)
+                  if s.kind == "absolute" else s
                   for s in suites]
 
     return VerifyReport(structure=label, seed=seed, trials=trials,
@@ -165,11 +167,11 @@ def _axioms_suite(structure: Optional[CartanStructure], seed: int,
     worst = 0.0
     detail = {}
     for s in targets:
-        report = validate(s, trials=min(trials, 100), seed=seed)
+        report = validate(s, trials=max(2, min(trials, 100)), seed=seed)
         detail[s.name] = {"passed": report.passed,
                           "max_error_ratio": report.max_error_ratio}
         worst = max(worst, report.max_error_ratio)
-    return _suite("structure_axioms", worst, 1.0, detail=detail)
+    return _suite("structure_axioms", worst, 1.0, "ratio", detail)
 
 
 def _example_2x2_suite() -> SuiteResult:
@@ -192,7 +194,7 @@ def _example_3x3_suite() -> SuiteResult:
     # agreement with -4||[u1,v1]||^2
     ratio = max(bn / 1e-13, rel_gap(q, qc) / 1e-12,
                 0.0 if q < -0.1 else 2.0)
-    return _suite("example_3x3", ratio, 1.0,
+    return _suite("example_3x3", ratio, 1.0, "ratio",
                   detail={"bracket_norm": bn, "quartic": q,
                           "commuting_value": qc})
 
@@ -289,7 +291,7 @@ def _symmetric_iff_suite(rng: np.random.Generator, seed: int,
         quartic_zero = abs(quartic(s, u, v)) <= 1e-12 * scale
         if bracket_zero != quartic_zero:
             violations += 1
-    return _suite("symmetric_iff", float(violations), 0.0,
+    return _suite("symmetric_iff", float(violations), 0.0, "count",
                   detail={"random_pairs": n_random,
                           "commuting_pairs": n_commuting})
 
@@ -329,5 +331,5 @@ def _subgroup_suites(rng: np.random.Generator, tangents: int = 10) -> list[Suite
     e12[0, 1] = 1.0
     report = totally_geodesic_check(control, e12, t_max=2.0)
     out.append(_suite("subgroup_ut3_control", report.max_defect, CONTROL_FLOOR,
-                      comparator=">=", detail={"tangent": "E12", "t_max": 2.0}))
+                      "floor", detail={"tangent": "E12", "t_max": 2.0}))
     return out

@@ -125,17 +125,23 @@ def test_validate_gl_complex_passes():
 
 
 def test_validate_flags_corrupted_involution():
-    # +transpose makes B_theta(u, u) = -tr(u u^T) negative; the validator must
-    # report the positivity failure rather than raise
-    bad = CartanStructure(
-        name="bad", n=2, field=REAL,
-        theta=lambda m: m.transpose(),
-        bform=lambda a, b: float(np.trace(a @ b).real))
+    # +transpose makes B_theta(u, u) = -tr(u u^T) negative and reverses the
+    # bracket; the validator must report both failures rather than raise
+    bad = CartanStructure(name="bad", n=2, field=REAL,
+                          theta=lambda m: m.transpose())
     report = validate(bad, trials=50)
     assert not report.passed
-    positivity = next(c for c in report.checks
-                      if c.name == "b_theta_positive_definite_basis")
-    assert not positivity.passed
+    failed = {c.name for c in report.checks if not c.passed}
+    assert {"b_theta_positive_definite_basis",
+            "theta_bracket_automorphism"} <= failed
+
+
+def test_validate_needs_a_pair_of_samples():
+    # the pair axioms see no pair below two samples and would pass vacuously
+    for trials in (1, 0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            validate(gl_real(2), trials=trials)
+    assert validate(gl_real(2), trials=2).trials == 2
 
 
 def test_adjoint_identity():
