@@ -4,8 +4,8 @@ The metric is the Frobenius inner product transported by left translations
 (generalized to B_theta for a Cartan structure). The library provides the
 closed-form Levi-Civita connection and curvature, sectional curvature with
 special-case theorems, closed-form geodesics with totally-geodesic subgroup
-checks, and an independent metric-identity oracle that certifies the closed
-forms numerically.
+checks, and an independent oracle built from the structure constants of the
+algebra that certifies the closed forms numerically.
 """
 
 from .algebra import (COMPLEX, REAL, MatrixElement, bracket, frobenius_inner,
@@ -25,7 +25,8 @@ from .geodesics import (GeodesicSample, SubgroupSpec, TotallyGeodesicReport,
                         builtin_subgroup, geodesic_body_velocity,
                         geodesic_point, geodesic_residual, geodesic_trace,
                         subgroup_from_selector, totally_geodesic_check)
-from .oracles import commuting_pair, nabla_from_metric, quartic_from_definition
+from .oracles import (commuting_pair, nabla_from_metric,
+                      quartic_from_definition, riemann_from_metric)
 from .verify import SuiteResult, VerifyReport, run_verify
 
 __version__ = "0.1.0"
@@ -48,6 +49,7 @@ __all__ = [
     "geodesic_residual", "geodesic_trace", "subgroup_from_selector",
     "totally_geodesic_check",
     "commuting_pair", "nabla_from_metric", "quartic_from_definition",
+    "riemann_from_metric",
     "SuiteResult", "VerifyReport", "run_verify",
     "__version__",
 ]

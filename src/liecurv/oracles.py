@@ -1,20 +1,27 @@
 """Independent verification paths for the closed-form geometry.
 
-nabla_from_metric solves the metric identity
+The definition route works from the structure constants of the algebra.
+Over an orthonormal basis e_1..e_d it builds, once,
+
+    C_ijk = <[e_i, e_j], e_k>
+
+from the basis, the bracket and theta only, and the Koszul identity
 
     <nabla_u v, w> = 1/2 (<[u,v], w> - <[v,w], u> - <[u,w], v>)
 
-coordinate by coordinate over an orthonormal basis and never touches the
+becomes Gamma_ijk = 1/2 (C_ijk - C_jki - C_ikj) (Milnor 1976, "Curvatures
+of left invariant metrics on Lie groups"). nabla_from_metric and
+quartic_from_definition then work in coordinates and never touch the
 closed-form connection, so agreement between the two is a genuine
-two-route check. quartic_from_definition evaluates <R(u,v)v, u> with every
-covariant derivative taken from the metric route. commuting_pair
-manufactures exactly-commuting inputs (two polynomials in one matrix) for
-the commuting-pair theorems.
+two-route check. riemann_from_metric assembles the full tensor R_ijkl from
+the same constants. commuting_pair manufactures exactly-commuting inputs
+(two polynomials in one matrix) for the commuting-pair theorems.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,40 +30,116 @@ from .cartan import CartanStructure, standard_basis
 from .errors import DimensionMismatch, IncompleteBasis
 
 
-def _check_basis(s: CartanStructure,
-                 basis: Sequence[np.ndarray] | None) -> Sequence[np.ndarray]:
-    if basis is None:
-        return standard_basis(s)
+class _Frame(NamedTuple):
+    """Basis stack B (d, n, n), dual frame F_k = -theta(e_k) so that
+    <a, e_k> = Re tr(a F_k), and C_ijk = <[e_i, e_j], e_k> as (d, d*d)."""
+
+    B: np.ndarray
+    F: np.ndarray
+    C: np.ndarray
+
+
+def _check_basis(s: CartanStructure, basis: Sequence[np.ndarray]) -> None:
     if len(basis) != s.real_dim:
         raise IncompleteBasis(
             f"basis has {len(basis)} elements, algebra of {s.name} "
             f"has real dimension {s.real_dim}")
-    return basis
+
+
+def _frame(s: CartanStructure, basis: Sequence[np.ndarray]) -> _Frame:
+    B = np.stack([np.asarray(e) for e in basis])
+    F = np.stack([-s.theta(e) for e in B])
+    d = len(B)
+    # row i holds the coordinates of [e_i, e_j] for every j, one slice at a
+    # time so the (d, d, n, n) bracket stack is never held whole
+    C = np.empty((d, d * d))
+    for i in range(d):
+        C[i] = _coords(F, bracket(B[i], B)).ravel()
+    for a in (B, F, C):
+        a.setflags(write=False)  # the default frame is shared through the cache
+    return _Frame(B, F, C)
+
+
+@functools.lru_cache
+def _default_frame(s: CartanStructure) -> _Frame:
+    return _frame(s, standard_basis(s))
+
+
+def _frame_for(s: CartanStructure,
+               basis: Sequence[np.ndarray] | None) -> _Frame:
+    """The cached frame of the standard cells, or one built for the caller's
+    basis on every call."""
+    if basis is None:
+        return _default_frame(s)
+    _check_basis(s, basis)
+    return _frame(s, basis)
+
+
+def _coords(F: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<a, e_k> = Re tr(a F_k) for every k; a may carry leading axes."""
+    return np.einsum("...ij,kji->...k", a, F).real
+
+
+def _ad(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M_x with M_x[j, k] = <[x, e_j], e_k>."""
+    d = len(x)
+    return (x @ C).reshape(d, d)
+
+
+def _nabla(x: np.ndarray, y: np.ndarray, mx: np.ndarray,
+           my: np.ndarray) -> np.ndarray:
+    """Coordinates of nabla_x y from M_x and M_y: 1/2 (y M_x - M_y x - M_x y)."""
+    return 0.5 * (y @ mx - my @ x - mx @ y)
 
 
 def nabla_from_metric(s: CartanStructure, u, v,
                       basis: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """Connection solved from the metric identity over a basis (definition route)."""
-    basis = _check_basis(s, basis)
+    """Connection solved from the metric identity over an orthonormal basis
+    (definition route; the standard cells by default)."""
+    frame = _frame_for(s, basis)
     u, v = s.check_member(u), s.check_member(v)
-    uv = bracket(u, v)
-    acc = np.zeros_like(u)
-    for e in basis:
-        coeff = 0.5 * (s.b_theta(uv, e)
-                       - s.b_theta(bracket(v, e), u)
-                       - s.b_theta(bracket(u, e), v))
-        acc = acc + coeff * e
-    return acc
+    x, y = _coords(frame.F, u), _coords(frame.F, v)
+    mx, my = _ad(frame.C, x), _ad(frame.C, y)
+    return np.tensordot(_nabla(x, y, mx, my), frame.B, 1)
 
 
 def quartic_from_definition(s: CartanStructure, u, v,
                             basis: Sequence[np.ndarray] | None = None) -> float:
-    """<R(u,v)v, u> where every nabla inside R comes from nabla_from_metric."""
-    basis = _check_basis(s, basis)
-    r = (nabla_from_metric(s, u, nabla_from_metric(s, v, v, basis), basis)
-         - nabla_from_metric(s, v, nabla_from_metric(s, u, v, basis), basis)
-         - nabla_from_metric(s, bracket(u, v), v, basis))
-    return s.b_theta(r, u)
+    """<R(u,v)v, u> = <nabla_u nabla_v v - nabla_v nabla_u v - nabla_[u,v] v, u>
+    with every nabla taken from the metric identity."""
+    frame = _frame_for(s, basis)
+    u, v = s.check_member(u), s.check_member(v)
+    C = frame.C
+    x, y = _coords(frame.F, u), _coords(frame.F, v)
+    mx, my = _ad(C, x), _ad(C, y)
+    nabla_vv = _nabla(y, y, my, my)
+    nabla_uv = _nabla(x, y, mx, my)
+    bracket_uv = y @ mx
+    r = (_nabla(x, nabla_vv, mx, _ad(C, nabla_vv))
+         - _nabla(y, nabla_uv, my, _ad(C, nabla_uv))
+         - _nabla(bracket_uv, y, _ad(C, bracket_uv), my))
+    return float(r @ x)
+
+
+def riemann_from_metric(s: CartanStructure,
+                        basis: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """R_ijkl = <R(e_i, e_j) e_k, e_l> over an orthonormal basis, assembled
+    from the structure constants: with nabla_{e_i} e_j = Gamma_ijm e_m,
+
+        R_ijkl = Gamma_jkm Gamma_iml - Gamma_ikm Gamma_jml - C_ijm Gamma_mkl.
+
+    The result has d^4 entries for an algebra of real dimension d.
+    """
+    C = _frame_for(s, basis).C
+    d = len(C)
+    C = C.reshape(d, d, d)
+    G = 0.5 * (C - np.einsum("jki->ijk", C) - np.einsum("ikj->ijk", C))
+    R = np.empty((d, d, d, d))
+    for i in range(d):  # one slice at a time: no d^4 temporaries
+        R[i] = (np.einsum("jkm,ml->jkl", G, G[i])
+                - np.einsum("km,jml->jkl", G[i], G)
+                - np.einsum("jm,mkl->jkl", C[i], G))
+    return R
 
 
 # commuting_pair redraws until both polynomial combinations clear this norm

@@ -3,25 +3,29 @@
 run_verify executes the full set of checks (structure axioms, two-route
 oracle agreement, sign theorems, mixed-pair match, commutator-norm
 decomposition, commuting-pair theorems, the symmetric iff, geodesic
-residuals, and totally-geodesic subgroup sweeps) and returns one report with
-a max-error-versus-bound line per suite. The CLI's verify command serializes
-this report as the library's correctness certificate.
+residuals, totally-geodesic subgroup sweeps, and the symmetries of the
+Riemann tensor) and returns one report with a max-error-versus-bound line
+and a wall time per suite, plus the software environment. The CLI's verify
+command serializes this report as the library's correctness certificate.
 
 Suites keyed to a specific structure (the worked 2x2 and 3x3 pairs, the 2x2
 flatness of commuting pairs, the subgroup sweeps) always run on their fixed
 real structures; the generic suites run on the structure passed in (default
-gl:real:3, plus a multi-size sweep for the oracle suite when no structure is
-forced).
+gl:real:3, plus a multi-size sweep for the oracle and Riemann suites when no
+structure is forced).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from .algebra import bracket, random_matrix
 from .cartan import (CartanStructure, gl_complex, gl_real, standard_basis,
@@ -30,7 +34,7 @@ from .curvature import (bracket_norm_identity_gap, quartic, quartic_commuting,
                         quartic_special)
 from .geodesics import (builtin_subgroup, geodesic_residual,
                         totally_geodesic_check)
-from .oracles import commuting_pair, quartic_from_definition
+from .oracles import commuting_pair, quartic_from_definition, riemann_from_metric
 
 SIGN_BOUND = 1e-12
 ORACLE_BOUND = 1e-8
@@ -40,6 +44,8 @@ GEODESIC_BOUND = 1e-6
 SUBGROUP_BOUND = 1e-9
 CONTROL_FLOOR = 1e-3
 EXAMPLE_BOUND = 1e-10
+# R_ijkl has d^4 entries: 105k at d = 18 (gl(3, C)), 1.7M for gl(6, R)
+RIEMANN_MAX_DIM = 18
 
 EXAMPLE_2X2_U = [[1.0, math.sqrt(7.0) / 2.0], [-math.sqrt(7.0) / 2.0, 2.0]]
 EXAMPLE_2X2_V = [[0.0, 1.0], [1.0, 0.0]]
@@ -54,7 +60,10 @@ class SuiteResult:
     kind says what the bound means: "absolute" (an error that stays below a
     tolerance), "ratio" (a normalized error, pass line 1), "count" (a
     number of violations, pass line 0) or "floor" (a control that stays
-    above its bound). Only absolute bounds follow --tol.
+    above its bound). Only absolute bounds follow --tol. elapsed_seconds is
+    the wall time of the pass that computed the suite; a pass that yields
+    several suites from shared draws (the sign suites, the subgroup sweeps)
+    splits its time equally among them.
     """
 
     name: str
@@ -63,12 +72,13 @@ class SuiteResult:
     kind: str
     passed: bool
     detail: dict
+    elapsed_seconds: float = 0.0
 
     def as_dict(self) -> dict:
         comparator = ">=" if self.kind == "floor" else "<="
         return {"name": self.name, "max_error": self.metric, "bound": self.bound,
                 "comparator": comparator, "passed": self.passed,
-                "detail": self.detail}
+                "elapsed_seconds": self.elapsed_seconds, "detail": self.detail}
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,15 @@ class VerifyReport:
         return {"structure": self.structure, "seed": self.seed,
                 "trials": self.trials, "tol_override": self.tol_override,
                 "passed": self.passed, "elapsed_seconds": self.elapsed_seconds,
+                "environment": _environment(),
                 "suites": [s.as_dict() for s in self.suites]}
+
+
+def _environment() -> dict:
+    from . import __version__  # set by the package after this module loads
+    return {"liecurv": __version__, "numpy": np.__version__,
+            "scipy": scipy.__version__, "python": platform.python_version(),
+            "cpu_count": os.cpu_count()}
 
 
 def rel_gap(a: float, b: float) -> float:
@@ -139,26 +157,36 @@ def run_verify(structure: Optional[CartanStructure] = None, seed: int = 42,
     rng = np.random.default_rng(seed)
     suites = []
 
-    suites.append(_axioms_suite(structure, seed, trials))
-    suites.append(_example_2x2_suite())
-    suites.append(_example_3x3_suite())
-    suites.append(_oracle_suite(structure, target, rng, trials))
-    suites.extend(_sign_suites(target, rng, trials))
-    suites.append(_bracket_claim_suite(target, rng, trials))
-    suites.append(_commuting_suite(target, seed, trials))
-    suites.append(_flat_2x2_suite(seed, trials))
-    suites.append(_symmetric_iff_suite(rng, seed))
-    suites.append(_geodesic_suite(target, rng))
-    suites.extend(_subgroup_suites(rng))
+    suites += _timed(_axioms_suite, structure, seed, trials)
+    suites += _timed(_example_2x2_suite)
+    suites += _timed(_example_3x3_suite)
+    suites += _timed(_oracle_suite, structure, target, rng, trials)
+    suites += _timed(_sign_suites, target, rng, trials)
+    suites += _timed(_bracket_claim_suite, target, rng, trials)
+    suites += _timed(_commuting_suite, target, seed, trials)
+    suites += _timed(_flat_2x2_suite, seed, trials)
+    suites += _timed(_symmetric_iff_suite, rng, seed)
+    suites += _timed(_geodesic_suite, target, rng)
+    suites += _timed(_subgroup_suites, rng)
+    suites += _timed(_riemann_suite, structure, rng)
 
     if tol_override is not None:
-        suites = [_suite(s.name, s.metric, tol_override, s.kind, s.detail)
+        suites = [replace(s, bound=float(tol_override),
+                          passed=bool(s.metric <= tol_override))
                   if s.kind == "absolute" else s
                   for s in suites]
 
     return VerifyReport(structure=label, seed=seed, trials=trials,
                         tol_override=tol_override, suites=tuple(suites),
                         elapsed_seconds=time.perf_counter() - t0)
+
+
+def _timed(make, *args) -> list[SuiteResult]:
+    t0 = time.perf_counter()
+    out = make(*args)
+    out = out if isinstance(out, list) else [out]
+    share = (time.perf_counter() - t0) / len(out)
+    return [replace(s, elapsed_seconds=share) for s in out]
 
 
 def _axioms_suite(structure: Optional[CartanStructure], seed: int,
@@ -205,16 +233,16 @@ def _oracle_suite(structure: Optional[CartanStructure], target: CartanStructure,
         plan = [(target, trials)]
     else:
         plan = [(gl_real(2), trials), (gl_real(3), trials), (gl_real(4), trials),
-                (gl_complex(2), min(trials, 500))]
+                (gl_real(6), trials), (gl_complex(2), min(trials, 500)),
+                (gl_complex(3), trials), (gl_complex(4), trials)]
     worst = 0.0
     detail = {}
     for s, count in plan:
-        basis = standard_basis(s)
         local = 0.0
         for _ in range(count):
             u, v = _g_sample(s, rng), _g_sample(s, rng)
             local = max(local, rel_gap(quartic(s, u, v),
-                                       quartic_from_definition(s, u, v, basis)))
+                                       quartic_from_definition(s, u, v)))
         detail[s.name] = {"sections": count, "max_rel_gap": local}
         worst = max(worst, local)
     return _suite("oracle_agreement", worst, ORACLE_BOUND, detail=detail)
@@ -333,3 +361,52 @@ def _subgroup_suites(rng: np.random.Generator, tangents: int = 10) -> list[Suite
     out.append(_suite("subgroup_ut3_control", report.max_defect, CONTROL_FLOOR,
                       "floor", detail={"tangent": "E12", "t_max": 2.0}))
     return out
+
+
+def _riemann_suite(structure: Optional[CartanStructure],
+                   rng: np.random.Generator, sections: int = 10) -> SuiteResult:
+    """Symmetries of R_ijkl over a basis of cells rotated by a seeded
+    orthogonal Q, relative to max|R|: antisymmetry in (k, l), pair symmetry,
+    the first Bianchi identity, and R contracted with (u, v, v, u) against
+    quartic_from_definition on the cell basis. (i, j) antisymmetry holds by
+    construction and is not reported. On the plain cells every entry is an
+    integer combination and the identities hold exactly; the rotation makes
+    them a real test."""
+    if structure is not None and structure.real_dim <= RIEMANN_MAX_DIM:
+        plan = [structure]
+    else:
+        plan = [gl_real(2), gl_real(3), gl_real(4), gl_complex(2), gl_complex(3)]
+    worst = 0.0
+    detail = {}
+    for s in plan:
+        d = s.real_dim
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        basis = tuple(np.tensordot(q, np.stack(standard_basis(s)), 1))
+        R = riemann_from_metric(s, basis)
+        scale = float(np.abs(R).max()) or 1.0
+        # permuted views of R; the identities are summed slice by slice, since
+        # a d^4 temporary would set the peak memory of the whole run
+        P = {spec: np.einsum(spec + "->ijkl", R)
+             for spec in ("ijlk", "klij", "jkil", "kijl")}
+
+        def gap(term) -> float:
+            return max(float(np.abs(term(i)).max()) for i in range(d)) / scale
+
+        quartic_gap = 0.0
+        for _ in range(sections):
+            u, v = _g_sample(s, rng), _g_sample(s, rng)
+            x = np.array([s.b_theta(u, e) for e in basis])
+            y = np.array([s.b_theta(v, e) for e in basis])
+            contracted = np.einsum("ijkl,i,j,k,l->", R, x, y, y, x)
+            quartic_gap = max(quartic_gap, abs(
+                contracted - quartic_from_definition(s, u, v))
+                / (scale * (x @ x) * (y @ y)))
+        local = {
+            "antisymmetry_kl": gap(lambda i: R[i] + P["ijlk"][i]),
+            "pair_symmetry": gap(lambda i: R[i] - P["klij"][i]),
+            "bianchi": gap(lambda i: R[i] + P["jkil"][i] + P["kijl"][i]),
+            "quartic_gap": quartic_gap,
+        }
+        worst = max(worst, *local.values())
+        detail[s.name] = {"real_dim": d, "sections": sections, **local}
+    return _suite("riemann_identities", worst, SIGN_BOUND, detail=detail)

@@ -142,6 +142,20 @@ def test_verify_small_run(capsys):
     assert "subgroup_ut3_control" in names
 
 
+def test_verify_certificate_records_times_and_environment(capsys):
+    code, out, _ = run(capsys, "verify", "--structure", "gl:real:2",
+                       "--trials", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload["environment"]) == {"liecurv", "numpy", "scipy",
+                                           "python", "cpu_count"}
+    times = [s["elapsed_seconds"] for s in payload["suites"]]
+    assert all(isinstance(t, float) and t >= 0.0 for t in times)
+    assert sum(times) <= payload["elapsed_seconds"]
+    riemann = {s["name"]: s for s in payload["suites"]}["riemann_identities"]
+    assert list(riemann["detail"]) == ["gl:real:2"]
+
+
 def test_verify_impossible_tolerance_fails(capsys):
     code, out, _ = run(capsys, "verify", "--structure", "gl:real:2",
                        "--trials", "5", "--tol", "1e-30")

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liecurv.cartan
 import liecurv.oracles
 from liecurv import (COMPLEX, REAL, DimensionMismatch, IncompleteBasis,
                      MatrixElement, bracket, commuting_pair, gl_complex,
                      gl_real, nabla, nabla_from_metric, quartic,
-                     quartic_from_definition, random_matrix, standard_basis,
-                     theta_split)
+                     quartic_from_definition, random_matrix,
+                     riemann_from_metric, standard_basis, theta_split)
+from liecurv.oracles import _default_frame, _frame
+from liecurv.verify import rel_gap
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -108,7 +112,9 @@ def test_quartic_from_definition_commuting_diagonals():
 def test_quartic_from_definition_matches_closed_form():
     rng = np.random.default_rng(11)
     for s, field, count in ((gl_real(2), REAL, 60), (gl_real(3), REAL, 60),
-                            (gl_real(4), REAL, 40), (gl_complex(2), COMPLEX, 40)):
+                            (gl_real(4), REAL, 40), (gl_complex(2), COMPLEX, 40),
+                            (gl_real(6), REAL, 20), (gl_complex(3), COMPLEX, 20),
+                            (gl_complex(4), COMPLEX, 20)):
         basis = standard_basis(s)
         for _ in range(count):
             u = random_matrix(rng, s.n, field)
@@ -116,6 +122,127 @@ def test_quartic_from_definition_matches_closed_form():
             a = quartic(s, u, v)
             b = quartic_from_definition(s, u, v, basis)
             assert abs(a - b) <= 1e-8 * (max(abs(a), abs(b)) + 1.0)
+
+
+def _rotated_basis(s, seed):
+    # cells rotated by an orthogonal Q: still orthonormal, no longer cells
+    d = s.real_dim
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return tuple(np.tensordot(q, np.stack(standard_basis(s)), 1))
+
+
+@pytest.mark.parametrize("s", [gl_real(3), gl_complex(2)], ids=lambda s: s.name)
+def test_oracles_do_not_depend_on_the_orthonormal_basis(s):
+    rotated = _rotated_basis(s, 19)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        u = random_matrix(rng, s.n, s.field)
+        v = random_matrix(rng, s.n, s.field)
+        a = quartic_from_definition(s, u, v)
+        b = quartic_from_definition(s, u, v, rotated)
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+        na = nabla_from_metric(s, u, v)
+        nb = nabla_from_metric(s, u, v, rotated)
+        assert norm(na - nb) <= 1e-12 * norm(na)
+
+
+def _nabla_by_basis_loop(s, u, v, basis):
+    # the metric identity solved one basis element at a time: the reference
+    # the structure-constant route replaced
+    acc = np.zeros_like(u)
+    for e in basis:
+        acc = acc + 0.5 * (s.b_theta(bracket(u, v), e)
+                           - s.b_theta(bracket(v, e), u)
+                           - s.b_theta(bracket(u, e), v)) * e
+    return acc
+
+
+@pytest.mark.parametrize("s", [gl_real(3), gl_complex(2)], ids=lambda s: s.name)
+def test_oracles_match_the_basis_loop(s):
+    basis = _rotated_basis(s, 43)
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        u = random_matrix(rng, s.n, s.field)
+        v = random_matrix(rng, s.n, s.field)
+        loop = lambda a, b: _nabla_by_basis_loop(s, a, b, basis)
+        expected = loop(u, v)
+        assert norm(nabla_from_metric(s, u, v, basis) - expected) \
+            <= 1e-13 * norm(expected)
+        r = loop(u, loop(v, v)) - loop(v, loop(u, v)) - loop(bracket(u, v), v)
+        a, b = s.b_theta(r, u), quartic_from_definition(s, u, v, basis)
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("s", [gl_real(3), gl_complex(2)], ids=lambda s: s.name)
+def test_frame_coordinates_are_the_metric(s):
+    rng = np.random.default_rng(29)
+    for basis in (standard_basis(s), _rotated_basis(s, 31)):
+        frame = _frame(s, basis)
+        for _ in range(5):
+            u = random_matrix(rng, s.n, s.field)
+            for e, f in zip(basis, frame.F):
+                assert abs(np.trace(u @ f).real - s.b_theta(u, e)) <= 1e-14
+
+
+def test_default_frame_is_built_once_per_structure():
+    assert _default_frame(gl_real(3)) is _default_frame(gl_real(3))
+    assert _default_frame(gl_real(3)) is not _default_frame(gl_complex(3))
+
+
+@pytest.mark.parametrize("s", [gl_real(3), gl_complex(2)], ids=lambda s: s.name)
+def test_riemann_from_metric_symmetries(s):
+    R = riemann_from_metric(s, _rotated_basis(s, 37))
+    scale = np.abs(R).max()
+    assert scale > 0.1
+    for permuted, sign in (("jikl", 1.0), ("ijlk", 1.0), ("klij", -1.0)):
+        assert np.abs(R + sign * np.einsum(f"{permuted}->ijkl", R)).max() \
+            <= 1e-14 * scale
+    bianchi = R + np.einsum("jkil->ijkl", R) + np.einsum("kijl->ijkl", R)
+    assert np.abs(bianchi).max() <= 1e-14 * scale
+
+
+def test_riemann_from_metric_contracts_to_the_quartic():
+    rng = np.random.default_rng(41)
+    for s in (gl_real(2), gl_real(3), gl_complex(2)):
+        R = riemann_from_metric(s)
+        for _ in range(10):
+            u = random_matrix(rng, s.n, s.field)
+            v = random_matrix(rng, s.n, s.field)
+            # coordinates over the cells: the entries (real parts first)
+            x = np.concatenate([u.real.ravel(), u.imag.ravel()])[:s.real_dim]
+            y = np.concatenate([v.real.ravel(), v.imag.ravel()])[:s.real_dim]
+            a = np.einsum("ijkl,i,j,k,l->", R, x, y, y, x)
+            b = quartic(s, u, v)
+            assert abs(a - b) <= 1e-12 * (max(abs(a), abs(b)) + 1.0)
+
+
+def test_riemann_from_metric_rejects_an_incomplete_basis():
+    with pytest.raises(IncompleteBasis):
+        riemann_from_metric(gl_real(3), standard_basis(gl_real(2)))
+
+
+@st.composite
+def _scaled_sections(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+    u = random_matrix(rng, n, field) * 2.0 ** a
+    v = random_matrix(rng, n, field) * 2.0 ** b
+    return n, field, u, v, a + b
+
+
+@settings(database=None, derandomize=True)
+@given(_scaled_sections())
+def test_quartic_matches_definition_over_sizes_fields_and_scales(section):
+    n, field, u, v, exponent = section
+    s = gl_real(n) if field == REAL else gl_complex(n)
+    q, q_def = quartic(s, u, v), quartic_from_definition(s, u, v)
+    assert rel_gap(q, q_def) <= 1e-8
+    # rel_gap is absolute below 1, so also compare at unit scale: the quartic
+    # is quadratic in u and in v, and powers of two rescale exactly
+    unit = 4.0 ** -exponent
+    assert rel_gap(q * unit, q_def * unit) <= 1e-8
 
 
 def test_quartic_from_definition_symmetry():
