@@ -22,8 +22,8 @@ from .errors import (DegenerateSection, DimensionMismatch, IncompleteBasis,
                      LieCurvError, NotCommuting, NotPureType, Overflow,
                      TangentNotInAlgebra, UnknownGroup)
 from .geodesics import (GeodesicSample, SubgroupSpec, TotallyGeodesicReport,
-                        builtin_subgroup, geodesic_body_velocity,
-                        geodesic_point, geodesic_residual, geodesic_trace,
+                        geodesic_body_velocity, geodesic_point,
+                        geodesic_residual, geodesic_trace,
                         subgroup_from_selector, totally_geodesic_check)
 from .oracles import (commuting_pair, nabla_from_metric,
                       quartic_from_definition, riemann_from_metric)
@@ -45,7 +45,7 @@ __all__ = [
     "NotCommuting", "NotPureType", "Overflow", "TangentNotInAlgebra",
     "UnknownGroup",
     "GeodesicSample", "SubgroupSpec", "TotallyGeodesicReport",
-    "builtin_subgroup", "geodesic_body_velocity", "geodesic_point",
+    "geodesic_body_velocity", "geodesic_point",
     "geodesic_residual", "geodesic_trace", "subgroup_from_selector",
     "totally_geodesic_check",
     "commuting_pair", "nabla_from_metric", "quartic_from_definition",

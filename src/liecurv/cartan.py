@@ -9,33 +9,43 @@ linear groups
     gl(n, R): theta u = -u^T  -> p symmetric, k skew
     gl(n, C): theta u = -u*   -> p Hermitian, k skew-Hermitian
 
-and B_theta is the Frobenius inner product in both cases. Structures carry
-theta as a closure so new reductive instances can be registered without
-touching this module; the closure must be a pure function.
+and B_theta is the Frobenius inner product in both cases. One formula,
+theta u = -u* (conj is the identity on real matrices), covers both fields,
+so a structure is fixed by its size n and its field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .algebra import COMPLEX, REAL, bracket, field_of, random_matrix
 from .errors import DimensionMismatch, NotPureType
 
+# tolerances of pure_class (relative to ||u||) and of the validate axioms
+PURITY_RTOL = 1e-10
+AXIOM_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CartanStructure:
-    """Algebraic package (name, n, field, theta) with derived helpers.
+    """gl(n, R) or gl(n, C) with the involution theta u = -u* and the
+    helpers derived from it."""
 
-    theta maps an ndarray to an ndarray.
-    """
-
-    name: str
     n: int
     field: str
-    theta: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DimensionMismatch(f"n must be >= 1, got {self.n}")
+
+    @property
+    def name(self) -> str:
+        return f"gl:{self.field}:{self.n}"
+
+    def theta(self, u: np.ndarray) -> np.ndarray:
+        return -np.conj(u).T
 
     @property
     def real_dim(self) -> int:
@@ -73,24 +83,12 @@ class ThetaSplit:
 
 def gl_real(n: int) -> CartanStructure:
     """Full real general linear structure on n x n matrices."""
-    return _gl(n, REAL)
+    return CartanStructure(n, REAL)
 
 
 def gl_complex(n: int) -> CartanStructure:
     """Full complex general linear structure on n x n matrices."""
-    return _gl(n, COMPLEX)
-
-
-def _gl(n: int, field: str) -> CartanStructure:
-    if n < 1:
-        raise DimensionMismatch(f"n must be >= 1, got {n}")
-    return CartanStructure(name=f"gl:{field}:{n}", n=n, field=field,
-                           theta=_theta)
-
-
-def _theta(u: np.ndarray) -> np.ndarray:
-    # -u* over C; conj is the identity on real matrices, so -u^T over R
-    return -np.conj(u).T
+    return CartanStructure(n, COMPLEX)
 
 
 def _trace_form(u: np.ndarray, v: np.ndarray) -> float:
@@ -118,12 +116,9 @@ def standard_basis(s: CartanStructure) -> tuple[np.ndarray, ...]:
 def from_selector(text: str) -> CartanStructure:
     """Parse a structure selector: "gl:real:<n>" or "gl:complex:<n>"."""
     parts = text.strip().lower().split(":")
-    if len(parts) == 3 and parts[0] == "gl" and parts[2].isdigit():
-        n = int(parts[2])
-        if parts[1] == REAL:
-            return gl_real(n)
-        if parts[1] == COMPLEX:
-            return gl_complex(n)
+    if (len(parts) == 3 and parts[0] == "gl" and parts[1] in (REAL, COMPLEX)
+            and parts[2].isdigit()):
+        return CartanStructure(int(parts[2]), parts[1])
     raise ValueError(f"bad structure selector {text!r} (expected gl:real:<n> or gl:complex:<n>)")
 
 
@@ -139,16 +134,16 @@ def theta_split(s: CartanStructure, u) -> ThetaSplit:
     return ThetaSplit(p, u - p)
 
 
-def pure_class(s: CartanStructure, u, rtol: float = 1e-10) -> str:
+def pure_class(s: CartanStructure, u) -> str:
     """Classify u as purely "p" or purely "k".
 
-    The off-class component must have norm <= rtol * ||u|| (with a small
+    The off-class component must have norm <= PURITY_RTOL * ||u|| (with a small
     additive floor so the zero matrix counts as pure). Raises NotPureType for
     genuinely mixed vectors.
     """
     parts = theta_split(s, u)
     np_, nk = np.linalg.norm(parts.p_part), np.linalg.norm(parts.k_part)
-    allowed = rtol * np.linalg.norm(u) + 1e-14
+    allowed = PURITY_RTOL * np.linalg.norm(u) + 1e-14
     if nk <= allowed:
         return "p"
     if np_ <= allowed:
@@ -185,7 +180,7 @@ class ValidationReport:
         return max(c.error / c.tolerance for c in self.checks)
 
 
-def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
+def validate(s: CartanStructure, trials: int = 100,
              seed: int = 42) -> ValidationReport:
     """Check the machine-checkable axioms of a structure on random samples.
 
@@ -211,14 +206,14 @@ def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
     norm = np.linalg.norm
     checks = []
 
-    checks.append(_check("theta_involution", tol, worst(
+    checks.append(_check("theta_involution", worst(
         lambda u: norm(s.theta(s.theta(u)) - u) / (norm(u) + 1e-14))))
 
-    checks.append(_check("theta_bracket_automorphism", tol, worst_pair(
+    checks.append(_check("theta_bracket_automorphism", worst_pair(
         lambda u, v: norm(s.theta(bracket(u, v)) - bracket(s.theta(u), s.theta(v)))
         / (norm(u) * norm(v) + 1e-14))))
 
-    checks.append(_check("bform_symmetry", tol, worst_pair(
+    checks.append(_check("bform_symmetry", worst_pair(
         lambda u, v: abs(_trace_form(u, v) - _trace_form(v, u))
         / (norm(u) * norm(v) + 1e-14))))
 
@@ -226,7 +221,7 @@ def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
         x, y, z = u, samples[0], samples[-1]
         gap = abs(_trace_form(bracket(x, y), z) + _trace_form(y, bracket(x, z)))
         return gap / (norm(x) * norm(y) * norm(z) + 1e-14)
-    checks.append(_check("bform_ad_invariance", tol, worst(ad_invariance)))
+    checks.append(_check("bform_ad_invariance", worst(ad_invariance)))
 
     gram = _basis_gram(s)
     min_eig = float(np.linalg.eigvalsh((gram + gram.T) / 2.0).min())
@@ -234,9 +229,9 @@ def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
     checks.append(AxiomCheck("b_theta_positive_definite_basis",
                              error=max(0.0, 1.0 - min_eig) + sym_gap,
                              tolerance=1e-9,
-                             passed=min_eig > 1e-9 and sym_gap <= tol))
+                             passed=min_eig > 1e-9 and sym_gap <= AXIOM_TOL))
 
-    checks.append(_check("split_orthogonality", tol, worst(
+    checks.append(_check("split_orthogonality", worst(
         lambda u: abs(s.b_theta(theta_split(s, u).p_part, theta_split(s, u).k_part))
         / (norm(u) ** 2 + 1e-14))))
 
@@ -250,17 +245,17 @@ def validate(s: CartanStructure, trials: int = 100, tol: float = 1e-12,
 
     p_of = lambda sp: sp.p_part
     k_of = lambda sp: sp.k_part
-    checks.append(_check("inclusion_kk_in_k", tol, inclusion(k_of, k_of, p_of)))
-    checks.append(_check("inclusion_pp_in_k", tol, inclusion(p_of, p_of, p_of)))
-    checks.append(_check("inclusion_kp_in_p", tol, inclusion(k_of, p_of, k_of)))
+    checks.append(_check("inclusion_kk_in_k", inclusion(k_of, k_of, p_of)))
+    checks.append(_check("inclusion_pp_in_k", inclusion(p_of, p_of, p_of)))
+    checks.append(_check("inclusion_kp_in_p", inclusion(k_of, p_of, k_of)))
 
     return ValidationReport(structure=s.name, seed=seed, trials=trials,
                             checks=tuple(checks))
 
 
-def _check(name: str, tol: float, error: float) -> AxiomCheck:
-    return AxiomCheck(name=name, error=float(error), tolerance=tol,
-                      passed=bool(error <= tol))
+def _check(name: str, error: float) -> AxiomCheck:
+    return AxiomCheck(name=name, error=float(error), tolerance=AXIOM_TOL,
+                      passed=bool(error <= AXIOM_TOL))
 
 
 def _basis_gram(s: CartanStructure) -> np.ndarray:

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .algebra import (REAL, MatrixElement, matrix_from_json, matrix_to_json,
                       random_matrix)
-from .cartan import CartanStructure, from_selector, gl_complex, gl_real, theta_split
+from .cartan import CartanStructure, from_selector, gl_real, theta_split
 from .curvature import quartic_commuting, quartic_special, sectional
 from .errors import (DegenerateSection, DimensionMismatch, IncompleteBasis,
                      LieCurvError, NotCommuting, NotPureType,
@@ -139,7 +140,7 @@ def _load_matrix(text: str) -> MatrixElement:
 def _pick_structure(selector: Optional[str], u: MatrixElement) -> CartanStructure:
     if selector is not None:
         return from_selector(selector)
-    return gl_real(u.n) if u.field == REAL else gl_complex(u.n)
+    return CartanStructure(u.n, u.field)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -168,7 +169,7 @@ def cmd_section(args) -> int:
             special, case = quartic_special(s, u, v)
         except NotPureType:
             pass
-    payload = {"structure": s.name, **report.as_dict(),
+    payload = {"structure": s.name, **asdict(report),
                "case": case, "special_value": special}
     _emit_json(payload, args.out)
     return EXIT_OK
@@ -188,6 +189,7 @@ def cmd_sample(args) -> int:
     trials = args.trials if args.trials is not None else 100
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
+    _check_strata(s)
     rng = np.random.default_rng(args.seed)
     rows = []
     seed_index = 0
@@ -208,6 +210,19 @@ def cmd_sample(args) -> int:
                     "rows_per_case": trials,
                     "rows": [dict(zip(header, r)) for r in rows]}, args.out)
     return EXIT_OK
+
+
+def _check_strata(s: CartanStructure) -> None:
+    """DegenerateSection unless every sampled stratum can hold a plane: p_p
+    and k_k need real dimension >= 2 of their eigenspace, p_k >= 1 of both."""
+    dim_k = s.n * (s.n - 1) // 2 if s.field == REAL else s.n * s.n
+    dim_p = s.real_dim - dim_k
+    for tag, ok in (("p_p", dim_p >= 2), ("k_k", dim_k >= 2),
+                    ("p_k", min(dim_p, dim_k) >= 1)):
+        if not ok:
+            raise DegenerateSection(
+                f"stratum {tag} of {s.name} cannot hold a plane: p has real "
+                f"dimension {dim_p} and k has {dim_k}")
 
 
 def _draw_section(s: CartanStructure, rng: np.random.Generator, tag: str):
@@ -264,7 +279,7 @@ def cmd_subgroup(args) -> int:
     spec = subgroup_from_selector(args.group)
     u = _load_matrix(args.u)
     report = totally_geodesic_check(spec, u, t_max=args.t_max, steps=args.steps)
-    _emit_json(report.as_dict(), args.out)
+    _emit_json(asdict(report), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 

@@ -30,10 +30,8 @@ from .errors import DegenerateSection, NotCommuting, NotPureType, Overflow
 # multiple of ||u||^2 ||v||^2.
 DEGENERATE_AREA_RTOL = 1e-12
 
-# Default relative tolerance on the commutator norm in quartic_commuting.
+# quartic_commuting: relative tolerance on the commutator norm
 COMMUTING_RTOL = 1e-10
-
-PURITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,11 +51,6 @@ class SectionReport:
     term_mixed: float
     term_cross: float
 
-    def as_dict(self) -> dict:
-        return {"quartic": self.quartic, "area_sq": self.area_sq,
-                "sectional": self.sectional, "term_pp": self.term_pp,
-                "term_mixed": self.term_mixed, "term_cross": self.term_cross}
-
 
 def nabla(s: CartanStructure, u, v) -> np.ndarray:
     """Covariant derivative of the left-invariant field v along u at the identity."""
@@ -72,8 +65,8 @@ def nabla_case(s: CartanStructure, u, v) -> tuple[np.ndarray, str]:
     on [u, v] is 1/2 for p_p and k_k, -1/2 for p_k, 3/2 for k_p. Raises
     NotPureType if either argument mixes the classes beyond tolerance.
     """
-    cu = pure_class(s, u, rtol=PURITY_RTOL)
-    cv = pure_class(s, v, rtol=PURITY_RTOL)
+    cu = pure_class(s, u)
+    cv = pure_class(s, v)
     coeff = {("p", "p"): 0.5, ("k", "k"): 0.5,
              ("p", "k"): -0.5, ("k", "p"): 1.5}[(cu, cv)]
     return coeff * bracket(u, v), f"{cu}_{cv}"
@@ -135,9 +128,9 @@ def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:
     tag is g_p or g_k. The returned value agrees with quartic(s, u, v); this
     function exists as a cross-check, not a fast path.
     """
-    cv = pure_class(s, v, rtol=PURITY_RTOL)
+    cv = pure_class(s, v)
     try:
-        cu = pure_class(s, u, rtol=PURITY_RTOL)
+        cu = pure_class(s, u)
     except NotPureType:
         cu = "g"
 
@@ -159,15 +152,14 @@ def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:
     return value, f"{cu}_{cv}"
 
 
-def quartic_commuting(s: CartanStructure, u, v,
-                      tol: float = COMMUTING_RTOL) -> float:
+def quartic_commuting(s: CartanStructure, u, v) -> float:
     """Quartic form for a commuting pair: -4 ||[u1, v1]||^2.
 
-    Raises NotCommuting when ||[u, v]|| > tol * (||u|| ||v|| + 1). The value
-    agrees with quartic(s, u, v) whenever the precondition holds.
+    Raises NotCommuting when ||[u, v]|| > COMMUTING_RTOL * (||u|| ||v|| + 1).
+    The value agrees with quartic(s, u, v) whenever the precondition holds.
     """
     bn = s.norm(bracket(u, v))
-    allowed = tol * (s.norm(u) * s.norm(v) + 1.0)
+    allowed = COMMUTING_RTOL * (s.norm(u) * s.norm(v) + 1.0)
     if bn > allowed:
         raise NotCommuting(
             f"||[u, v]|| = {bn:.3g} exceeds {allowed:.3g}; pair does not commute")

@@ -29,6 +29,8 @@ from .errors import Overflow, TangentNotInAlgebra, UnknownGroup
 TANGENT_RTOL = 1e-10
 DEFECT_RTOL = 1e-9
 DEFAULT_STEPS = 64
+# central-difference step of the geodesic residual
+FD_STEP = 1e-5
 
 
 def geodesic_point(s: CartanStructure, u, t: float) -> np.ndarray:
@@ -53,27 +55,25 @@ experimental_geodesic_point = geodesic_point
 experimental_geodesic_body_velocity = geodesic_body_velocity
 
 
-def geodesic_residual(s: CartanStructure, u, t: float, h: float = 1e-5) -> float:
+def geodesic_residual(s: CartanStructure, u, t: float) -> float:
     """Geodesic-equation defect ||omega'(t) + nabla(omega(t), omega(t))||.
 
-    omega' is a central finite difference with step h. For a true geodesic
-    the residual is at the differencing noise floor (<= 1e-6 for ||u|| <= 2,
-    t in [0, 2], h = 1e-5). Raises Overflow when the defect is not finite.
+    omega' is a central finite difference with step FD_STEP. For a true
+    geodesic the residual is at the differencing noise floor (<= 1e-6 for
+    ||u|| <= 2, t in [0, 2]). Raises Overflow when the defect is not finite.
     """
-    return _residual(s, u, t, h)
+    return _residual(s, u, t)
 
 
-def _residual(s: CartanStructure, u, t: float, h: float,
+def _residual(s: CartanStructure, u, t: float,
               w: Optional[np.ndarray] = None) -> float:
     """geodesic_residual, reusing omega(t) = w when the caller has it."""
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         if w is None:
             w = geodesic_body_velocity(s, u, t)
-        w_plus = geodesic_body_velocity(s, u, t + h)
-        w_minus = geodesic_body_velocity(s, u, t - h)
-        w_dot = (w_plus - w_minus) / (2.0 * h)
+        w_plus = geodesic_body_velocity(s, u, t + FD_STEP)
+        w_minus = geodesic_body_velocity(s, u, t - FD_STEP)
+        w_dot = (w_plus - w_minus) / (2.0 * FD_STEP)
         residual = float(np.linalg.norm(w_dot + nabla(s, w, w)))
     if not math.isfinite(residual):
         raise Overflow(f"geodesic residual at t = {t:g} is not finite")
@@ -91,7 +91,7 @@ class GeodesicSample:
 
 
 def geodesic_trace(s: CartanStructure, u, t_max: float = 2.0,
-                   steps: int = DEFAULT_STEPS, h: float = 1e-5) -> list[GeodesicSample]:
+                   steps: int = DEFAULT_STEPS) -> list[GeodesicSample]:
     """Sample the geodesic on a uniform grid of `steps` points over [0, t_max]."""
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -101,7 +101,7 @@ def geodesic_trace(s: CartanStructure, u, t_max: float = 2.0,
         gamma = geodesic_point(s, u, t)
         omega = geodesic_body_velocity(s, u, t)
         out.append(GeodesicSample(t=t, gamma=gamma, omega=omega,
-                                  residual=_residual(s, u, t, h, omega)))
+                                  residual=_residual(s, u, t, omega)))
     return out
 
 
@@ -140,87 +140,49 @@ class TotallyGeodesicReport:
     threshold: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {"subgroup": self.subgroup,
-                "transpose_invariant": self.transpose_invariant,
-                "t_max": self.t_max, "steps": self.steps,
-                "max_defect": self.max_defect, "argmax_t": self.argmax_t,
-                "threshold": self.threshold, "passed": self.passed}
 
-
-def builtin_subgroup(name: str, n: int = 0, p: int = 0, q: int = 0) -> SubgroupSpec:
-    """Construct one of the shipped subgroup specs.
-
-    Names (case-insensitive): "so" (special orthogonal), "sl" (unimodular),
-    "opq" (indefinite orthogonal, pass p and q), "ut" (upper triangular,
-    the non-transpose-invariant control). Raises UnknownGroup otherwise.
-    """
-    key = name.strip().lower()
-    if key == "so":
-        _require_size(n)
+def subgroup_from_selector(text: str) -> SubgroupSpec:
+    """Build a shipped subgroup from its case-insensitive selector: "so:<n>",
+    "sl:<n>", "opq:<p>,<q>" (indefinite orthogonal) or "ut:<n>" (upper
+    triangular, the non-transpose-invariant control), sizes >= 1. Raises
+    UnknownGroup otherwise."""
+    key, _, arg = text.strip().lower().partition(":")
+    if key not in ("so", "sl", "opq", "ut"):
+        raise UnknownGroup(
+            f"unknown subgroup name {key!r} (expected so, sl, opq or ut)")
+    sizes = arg.split(",")
+    if (len(sizes) != (2 if key == "opq" else 1)
+            or not all(x.strip().isdigit() and int(x) >= 1 for x in sizes)):
+        raise UnknownGroup(
+            f"bad subgroup selector {text!r} (expected so:<n>, sl:<n>, "
+            f"opq:<p>,<q> or ut:<n> with sizes >= 1)")
+    n = sum(map(int, sizes))
+    if key in ("so", "opq"):
+        # O(p, q) preserves eta = diag(I_p, -I_q); so:<n> is q = 0, eta = I
+        p = int(sizes[0])
+        eta = np.diag(np.concatenate([np.ones(p), -np.ones(n - p)]))
         return SubgroupSpec(
-            name=f"SO({n})", n=n,
-            group_defect=lambda g: float(
-                np.linalg.norm(np.transpose(g) @ g - np.eye(n))),
-            algebra_defect=lambda u: float(np.linalg.norm(u + np.transpose(u))),
-            transpose_invariant=True,
-            project=lambda r: (r - np.transpose(r)) / 2.0)
-    if key == "sl":
-        _require_size(n)
-        return SubgroupSpec(
-            name=f"SL({n})", n=n,
-            group_defect=lambda g: abs(float(np.linalg.det(g)) - 1.0),
-            algebra_defect=lambda u: abs(float(np.trace(u))),
-            transpose_invariant=True,
-            project=lambda r: r - (np.trace(r) / n) * np.eye(n))
-    if key == "opq":
-        if p < 1 or q < 1:
-            raise UnknownGroup(f"opq needs p >= 1 and q >= 1, got p={p}, q={q}")
-        m = p + q
-        eta = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-        return SubgroupSpec(
-            name=f"O({p},{q})", n=m,
+            name=f"SO({n})" if key == "so" else f"O({p},{n - p})", n=n,
             group_defect=lambda g: float(
                 np.linalg.norm(np.transpose(g) @ eta @ g - eta)),
             algebra_defect=lambda u: float(
                 np.linalg.norm(np.transpose(u) @ eta + eta @ u)),
             transpose_invariant=True,
             project=lambda r: (r - eta @ np.transpose(r) @ eta) / 2.0)
-    if key == "ut":
-        _require_size(n)
-
-        def below_diag_max(g) -> float:
-            strict_lower = np.tril(g, k=-1)
-            return float(np.abs(strict_lower).max()) if n > 1 else 0.0
-
+    if key == "sl":
         return SubgroupSpec(
-            name=f"UT({n})", n=n,
-            group_defect=below_diag_max,
-            algebra_defect=below_diag_max,
-            transpose_invariant=False,
-            project=np.triu)
-    raise UnknownGroup(f"unknown subgroup name {name!r} (expected so, sl, opq or ut)")
-
-
-def _require_size(n: int) -> None:
-    if n < 1:
-        raise UnknownGroup(f"subgroup size must be >= 1, got {n}")
-
-
-def subgroup_from_selector(text: str) -> SubgroupSpec:
-    """Parse a subgroup selector: "so:<n>", "sl:<n>", "opq:<p>,<q>", "ut:<n>"."""
-    parts = text.strip().lower().split(":")
-    if len(parts) != 2:
-        raise UnknownGroup(f"bad subgroup selector {text!r}")
-    key, arg = parts
-    if key == "opq":
-        pieces = arg.split(",")
-        if len(pieces) != 2 or not all(x.strip().isdigit() for x in pieces):
-            raise UnknownGroup(f"bad opq selector {text!r} (expected opq:<p>,<q>)")
-        return builtin_subgroup("opq", p=int(pieces[0]), q=int(pieces[1]))
-    if not arg.isdigit():
-        raise UnknownGroup(f"bad subgroup selector {text!r}")
-    return builtin_subgroup(key, n=int(arg))
+            name=f"SL({n})", n=n,
+            group_defect=lambda g: abs(float(np.linalg.det(g)) - 1.0),
+            algebra_defect=lambda u: abs(float(np.trace(u))),
+            transpose_invariant=True,
+            project=lambda r: r - (np.trace(r) / n) * np.eye(n))
+    below_diag_max = lambda g: float(np.abs(np.tril(g, k=-1)).max())
+    return SubgroupSpec(
+        name=f"UT({n})", n=n,
+        group_defect=below_diag_max,
+        algebra_defect=below_diag_max,
+        transpose_invariant=False,
+        project=np.triu)
 
 
 def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,

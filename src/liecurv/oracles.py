@@ -148,23 +148,22 @@ def riemann_from_metric(s: CartanStructure,
 _MIN_COMBINATION_NORM = 0.25
 _COMMUTATOR_CEILING = 1e-12
 _MAX_ATTEMPTS = 200
+_DEGREE = 3
 
 
-def commuting_pair(seed: int, n: int, deg: int = 3, field: str = REAL,
+def commuting_pair(seed: int, n: int, field: str = REAL,
                    symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Two unit-norm exactly-commuting matrices: random polynomials in one matrix.
 
     Draws a base matrix m (rescaled to unit norm) and two coefficient vectors
-    of length deg+1, forms the polynomial combinations, and redraws whenever a
-    combination is too small to normalize safely or the resulting commutator
-    norm exceeds 1e-12. With symmetric=True the base matrix is symmetrized
+    of length _DEGREE + 1, forms the polynomial combinations, and redraws
+    whenever a combination is too small to normalize safely or the resulting
+    commutator norm exceeds 1e-12. With symmetric=True the base matrix is symmetrized
     (Hermitian over the complex field), so both outputs are symmetric as
     well. Deterministic per seed.
     """
     if n < 2:
         raise DimensionMismatch(f"commuting pairs need n >= 2, got {n}")
-    if deg < 1:
-        raise ValueError(f"deg must be >= 1, got {deg}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_ATTEMPTS):
         m = random_matrix(rng, n, field)
@@ -175,10 +174,10 @@ def commuting_pair(seed: int, n: int, deg: int = 3, field: str = REAL,
             continue
         m = m / m_norm
         powers = [np.eye(n, dtype=m.dtype)]
-        for _ in range(deg):
+        for _ in range(_DEGREE):
             powers.append(powers[-1] @ m)
-        a = rng.uniform(-1.0, 1.0, size=deg + 1)
-        b = rng.uniform(-1.0, 1.0, size=deg + 1)
+        a = rng.uniform(-1.0, 1.0, size=_DEGREE + 1)
+        b = rng.uniform(-1.0, 1.0, size=_DEGREE + 1)
         u = _combine(powers, a)
         v = _combine(powers, b)
         nu, nv = np.linalg.norm(u), np.linalg.norm(v)

@@ -32,7 +32,7 @@ from .cartan import (CartanStructure, gl_complex, gl_real, standard_basis,
                      theta_split, validate)
 from .curvature import (bracket_norm_identity_gap, quartic, quartic_commuting,
                         quartic_special)
-from .geodesics import (builtin_subgroup, geodesic_residual,
+from .geodesics import (FD_STEP, geodesic_residual, subgroup_from_selector,
                         totally_geodesic_check)
 from .oracles import commuting_pair, quartic_from_definition, riemann_from_metric
 
@@ -233,7 +233,7 @@ def _oracle_suite(structure: Optional[CartanStructure], target: CartanStructure,
         plan = [(target, trials)]
     else:
         plan = [(gl_real(2), trials), (gl_real(3), trials), (gl_real(4), trials),
-                (gl_real(6), trials), (gl_complex(2), min(trials, 500)),
+                (gl_real(6), trials), (gl_complex(2), trials),
                 (gl_complex(3), trials), (gl_complex(4), trials)]
     worst = 0.0
     detail = {}
@@ -284,8 +284,8 @@ def _bracket_claim_suite(s: CartanStructure, rng: np.random.Generator,
 
 
 def _commuting_suite(s: CartanStructure, seed: int, trials: int) -> SuiteResult:
-    # a 1x1 algebra has no interesting commuting pairs; fall back to gl(2, R)
-    target = s if s.n >= 2 else gl_real(2)
+    # a 1x1 algebra has no interesting commuting pairs; use n = 2, same field
+    target = s if s.n >= 2 else replace(s, n=2)
     worst = 0.0
     for i in range(trials):
         u, v = commuting_pair(seed + i, target.n, field=target.field)
@@ -334,16 +334,17 @@ def _geodesic_suite(s: CartanStructure, rng: np.random.Generator,
         if u_norm > 2.0:
             u = (2.0 / u_norm) * u
         for t in grid:
-            worst = max(worst, geodesic_residual(s, u, t, h=1e-5))
+            worst = max(worst, geodesic_residual(s, u, t))
     return _suite("geodesic_residual", worst, GEODESIC_BOUND,
-                  detail={"samples": samples, "t_grid": grid, "h": 1e-5})
+                  detail={"samples": samples, "t_grid": grid, "h": FD_STEP})
 
 
 def _subgroup_suites(rng: np.random.Generator, tangents: int = 10) -> list[SuiteResult]:
     out = []
-    for suite_name, spec in (("subgroup_so3", builtin_subgroup("so", 3)),
-                             ("subgroup_sl2", builtin_subgroup("sl", 2)),
-                             ("subgroup_o12", builtin_subgroup("opq", p=1, q=2))):
+    for suite_name, selector in (("subgroup_so3", "so:3"),
+                                 ("subgroup_sl2", "sl:2"),
+                                 ("subgroup_o12", "opq:1,2")):
+        spec = subgroup_from_selector(selector)
         worst = 0.0
         for _ in range(tangents):
             u = spec.project(random_matrix(rng, spec.n))
@@ -354,7 +355,7 @@ def _subgroup_suites(rng: np.random.Generator, tangents: int = 10) -> list[Suite
             worst = max(worst, report.max_defect)
         out.append(_suite(suite_name, worst, SUBGROUP_BOUND,
                           detail={"tangents": tangents, "t_max": 2.0}))
-    control = builtin_subgroup("ut", 3)
+    control = subgroup_from_selector("ut:3")
     e12 = np.zeros((3, 3))
     e12[0, 1] = 1.0
     report = totally_geodesic_check(control, e12, t_max=2.0)

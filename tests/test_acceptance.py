@@ -16,7 +16,7 @@ from liecurv.cartan import gl_complex, gl_real, theta_split
 from liecurv.cli import main
 from liecurv.curvature import (bracket_norm_identity_gap, quartic,
                                quartic_commuting, quartic_special)
-from liecurv.geodesics import (builtin_subgroup, geodesic_residual,
+from liecurv.geodesics import (geodesic_residual, subgroup_from_selector,
                                totally_geodesic_check)
 from liecurv.oracles import commuting_pair, quartic_from_definition, standard_basis
 from liecurv.verify import rel_gap
@@ -138,7 +138,7 @@ def test_criterion_06_geodesic_residual(capsys):
         if np.linalg.norm(u) > 2.0:
             u = (2.0 / np.linalg.norm(u)) * u
         for t in grid:
-            worst = max(worst, geodesic_residual(s, u, t, h=1e-5))
+            worst = max(worst, geodesic_residual(s, u, t))
     passed = worst <= 1e-6
     _report(capsys, 6, passed,
             f"max residual = {worst:.3g} over 100 tangents x 9 times")
@@ -147,8 +147,7 @@ def test_criterion_06_geodesic_residual(capsys):
 def test_criterion_07_totally_geodesic_sweeps(capsys):
     rng = np.random.default_rng(1717)
     worst = 0.0
-    for spec in (builtin_subgroup("so", 3), builtin_subgroup("sl", 2),
-                 builtin_subgroup("opq", p=1, q=2)):
+    for spec in map(subgroup_from_selector, ("so:3", "sl:2", "opq:1,2")):
         for _ in range(10):
             u = spec.project(random_matrix(rng, spec.n))
             if np.linalg.norm(u) > 0:
@@ -156,7 +155,7 @@ def test_criterion_07_totally_geodesic_sweeps(capsys):
             worst = max(worst, totally_geodesic_check(spec, u, t_max=2.0).max_defect)
     e12 = np.zeros((3, 3))
     e12[0, 1] = 1.0
-    control = totally_geodesic_check(builtin_subgroup("ut", 3), e12, t_max=2.0)
+    control = totally_geodesic_check(subgroup_from_selector("ut:3"), e12, t_max=2.0)
     passed = worst <= 1e-9 and control.max_defect >= 1e-3
     _report(capsys, 7, passed,
             f"max defect so/sl/opq = {worst:.3g}, ut control defect = "

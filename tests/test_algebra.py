@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from liecurv import (COMPLEX, REAL, DimensionMismatch, MatrixElement, Overflow,
-                     bracket, bracket_norm_identity_gap, builtin_subgroup,
-                     curvature_tensor, frobenius_inner,
-                     geodesic_body_velocity, geodesic_point, geodesic_residual,
-                     geodesic_trace, gl_real, matrix_exp, matrix_from_json,
-                     matrix_to_json, nabla, nabla_case, nabla_from_metric,
-                     pure_class, quartic, quartic_commuting,
+                     bracket, bracket_norm_identity_gap, curvature_tensor,
+                     frobenius_inner, geodesic_body_velocity, geodesic_point,
+                     geodesic_residual, geodesic_trace, gl_real, matrix_exp,
+                     matrix_from_json, matrix_to_json, nabla, nabla_case,
+                     nabla_from_metric, pure_class, quartic, quartic_commuting,
                      quartic_from_definition, quartic_special, quartic_terms,
-                     random_element, random_matrix, sectional, theta_split,
+                     random_element, random_matrix, sectional,
+                     subgroup_from_selector, theta_split,
                      totally_geodesic_check)
 
 norm = np.linalg.norm
@@ -224,8 +224,8 @@ EDGE_INPUTS = {
     "d1": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]],
     "d2": [[0.5, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]],
 }
-SUBGROUPS = [builtin_subgroup("so", 3), builtin_subgroup("sl", 3),
-             builtin_subgroup("opq", p=1, q=2), builtin_subgroup("ut", 3)]
+SUBGROUPS = [subgroup_from_selector(x)
+             for x in ("so:3", "sl:3", "opq:1,2", "ut:3")]
 EDGE_CASES = {
     "bracket": lambda m: bracket(m["u"], m["v"]),
     "frobenius_inner": lambda m: frobenius_inner(m["u"], m["v"]),

@@ -127,9 +127,11 @@ def test_validate_gl_complex_passes():
 def test_validate_flags_corrupted_involution():
     # +transpose makes B_theta(u, u) = -tr(u u^T) negative and reverses the
     # bracket; the validator must report both failures rather than raise
-    bad = CartanStructure(name="bad", n=2, field=REAL,
-                          theta=lambda m: m.transpose())
-    report = validate(bad, trials=50)
+    class Bad(CartanStructure):
+        def theta(self, u):
+            return u.transpose()
+
+    report = validate(Bad(2, REAL), trials=50)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert {"b_theta_positive_definite_basis",

@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,17 @@ def test_sample_bad_trials_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("structure, stratum",
+                         [("gl:real:2", "k_k"), ("gl:complex:1", "p_p")])
+def test_sample_stratum_without_a_plane_exit_3(capsys, structure, stratum):
+    # so(2) and the 1x1 eigenspaces are one-dimensional: no draw can span a
+    # plane there, so the command refuses before drawing
+    code, out, err = run(capsys, "sample", "--structure", structure)
+    assert code == 3
+    assert out == ""
+    assert f"stratum {stratum} of {structure}" in err
+
+
 def test_geodesic_skew_tangent_orthogonal(capsys):
     code, out, _ = run(capsys, "geodesic", "--u", SKEW_3, "--steps", "8")
     assert code == 0
@@ -311,3 +326,20 @@ def test_subgroup_complex_tangent_exit_2_without_warning(capsys):
 def test_subgroup_unknown_group_exit_2(capsys):
     code, _, _ = run(capsys, "subgroup", "--group", "spin:3", "--u", SKEW_3)
     assert code == 2
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", readme, re.M | re.S)
+    commands = [line for _, body in blocks for line in body.splitlines()
+                if line.startswith("liecurv ")]
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
+    (snippet,) = [body for lang, body in blocks if lang == "python"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(snippet, {})
+    assert out.getvalue().split()[0] == "-40.5"

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 import liecurv.cartan
 import liecurv.oracles
+import liecurv.verify
 from liecurv import (COMPLEX, REAL, DimensionMismatch, IncompleteBasis,
                      MatrixElement, bracket, commuting_pair, gl_complex,
                      gl_real, nabla, nabla_from_metric, quartic,
                      quartic_from_definition, random_matrix,
                      riemann_from_metric, standard_basis, theta_split)
 from liecurv.oracles import _default_frame, _frame
-from liecurv.verify import rel_gap
+from liecurv.verify import rel_gap, run_verify
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -320,5 +321,19 @@ def test_commuting_pair_symmetric_option():
 def test_commuting_pair_input_validation():
     with pytest.raises(DimensionMismatch):
         commuting_pair(0, 1)
-    with pytest.raises(ValueError):
-        commuting_pair(0, 3, deg=0)
+
+
+def test_commuting_theorem_keeps_the_field_of_a_1x1_structure(monkeypatch):
+    # gl(1) holds no interesting commuting pairs, so the suite moves to
+    # n = 2; it must stay over the structure's field. Its pairs use seeds
+    # seed + i, the other commuting suites seed + 10_000 and up.
+    drawn = {}
+
+    def recording(seed, n, field=REAL, symmetric=False):
+        drawn[seed] = (n, field)
+        return commuting_pair(seed, n, field=field, symmetric=symmetric)
+
+    monkeypatch.setattr(liecurv.verify, "commuting_pair", recording)
+    report = run_verify(gl_complex(1), seed=42, trials=2)
+    assert drawn[42] == drawn[43] == (2, COMPLEX)
+    assert report.suite("commuting_theorem").passed
