@@ -190,6 +190,12 @@ def test_builtin_ut_flags_below_diagonal():
     assert not ut3.transpose_invariant
 
 
+def test_builtin_unknown_group():
+    for text in ("sp:4", "so:0", "opq:1,0"):
+        with pytest.raises(UnknownGroup):
+            subgroup_from_selector(text)
+
+
 def test_projections_land_in_algebra():
     rng = np.random.default_rng(37)
     for spec in map(subgroup_from_selector, ("so:3", "sl:3", "opq:1,2", "ut:3")):
@@ -203,8 +209,7 @@ def test_subgroup_from_selector():
     assert subgroup_from_selector("sl:2").name == "SL(2)"
     assert subgroup_from_selector("opq:1,2").name == "O(1,2)"
     assert subgroup_from_selector("ut:3").name == "UT(3)"
-    for text in ("so", "so:x", "opq:1", "spin:3", "sp:4", "so:0", "opq:1,0",
-                 "sl:2,3", "opq:1,2,3", "ut:"):
+    for text in ("so", "so:x", "opq:1", "spin:3", "sl:2,3", "opq:1,2,3", "ut:"):
         with pytest.raises(UnknownGroup):
             subgroup_from_selector(text)
 
