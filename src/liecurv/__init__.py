@@ -11,9 +11,9 @@ algebra that certifies the closed forms numerically.
 from .algebra import (COMPLEX, REAL, MatrixElement, bracket, frobenius_inner,
                       matrix_exp, matrix_from_json, matrix_to_json,
                       random_element, random_matrix)
-from .cartan import (AxiomCheck, CartanStructure, ThetaSplit, ValidationReport,
-                     from_selector, gl_complex, gl_real, pure_class,
-                     standard_basis, theta_split, validate)
+from .cartan import (CartanStructure, ThetaSplit, from_selector, gl_complex,
+                     gl_real, pure_class, random_part, standard_basis,
+                     theta_split, validate)
 from .curvature import (SectionReport, bracket_norm_identity_gap,
                         curvature_tensor, nabla, nabla_case, quartic,
                         quartic_commuting, quartic_special, quartic_terms,
@@ -35,9 +35,8 @@ __all__ = [
     "COMPLEX", "REAL", "MatrixElement", "bracket", "frobenius_inner",
     "matrix_exp", "matrix_from_json", "matrix_to_json", "random_element",
     "random_matrix",
-    "AxiomCheck", "CartanStructure", "ThetaSplit", "ValidationReport",
-    "from_selector", "gl_complex", "gl_real", "pure_class", "standard_basis",
-    "theta_split", "validate",
+    "CartanStructure", "ThetaSplit", "from_selector", "gl_complex", "gl_real",
+    "pure_class", "random_part", "standard_basis", "theta_split", "validate",
     "SectionReport", "bracket_norm_identity_gap", "curvature_tensor", "nabla",
     "nabla_case", "quartic", "quartic_commuting", "quartic_special",
     "quartic_terms", "sectional",

@@ -9,7 +9,7 @@ built on the handful of primitives in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 import scipy.linalg
@@ -131,10 +131,12 @@ def matrix_to_json(u) -> dict:
 
 
 def matrix_from_json(obj: Any) -> MatrixElement:
-    """Parse the JSON wire form. A bare nested list of rows is also accepted
-    and is read as a real matrix."""
+    """Parse the JSON wire form. A bare nested list of rows of numbers is
+    also accepted and is read as a real matrix."""
     if isinstance(obj, list):
-        return MatrixElement(_rows_to_array(obj))
+        if not all(isinstance(row, list) for row in obj):
+            raise ValueError("a nested list must hold rows that are lists")
+        return MatrixElement([[_num(x) for x in row] for row in obj])
     if not isinstance(obj, dict):
         raise ValueError(f"expected a matrix object or nested list, got {type(obj).__name__}")
     try:
@@ -153,13 +155,6 @@ def matrix_from_json(obj: Any) -> MatrixElement:
     else:
         arr = np.array([_num(x) for x in entries], dtype=np.float64).reshape(n, n)
     return MatrixElement(arr)
-
-
-def _rows_to_array(rows: Iterable) -> np.ndarray:
-    arr = np.array(rows, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"nested list must be square rows, got shape {arr.shape}")
-    return arr
 
 
 def _num(x: Any) -> float:

@@ -21,9 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (REAL, MatrixElement, matrix_from_json, matrix_to_json,
-                      random_matrix)
-from .cartan import CartanStructure, from_selector, gl_real, theta_split
+from .algebra import REAL, MatrixElement, matrix_from_json, matrix_to_json
+from .cartan import CartanStructure, from_selector, gl_real, random_part
 from .curvature import quartic_commuting, quartic_special, sectional
 from .errors import (DegenerateSection, DimensionMismatch, IncompleteBasis,
                      LieCurvError, NotCommuting, NotPureType,
@@ -36,6 +35,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_TANGENCY = 4
+
+# the sample strata, in output order, and the theta-parts of their two vectors
+STRATA = {"p_p": ("p", "p"), "k_k": ("k", "k"), "p_k": ("p", "k"),
+          "general": ("g", "g")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +196,7 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     seed_index = 0
-    for tag in ("p_p", "k_k", "p_k", "general"):
+    for tag in STRATA:
         for _ in range(trials):
             rep = _draw_section(s, rng, tag)
             rows.append((seed_index, tag, rep.quartic, rep.area_sq, rep.sectional))
@@ -227,16 +230,7 @@ def _check_strata(s: CartanStructure) -> None:
 
 def _draw_section(s: CartanStructure, rng: np.random.Generator, tag: str):
     for _ in range(100):
-        a = random_matrix(rng, s.n, s.field)
-        b = random_matrix(rng, s.n, s.field)
-        if tag == "p_p":
-            u, v = theta_split(s, a).p_part, theta_split(s, b).p_part
-        elif tag == "k_k":
-            u, v = theta_split(s, a).k_part, theta_split(s, b).k_part
-        elif tag == "p_k":
-            u, v = theta_split(s, a).p_part, theta_split(s, b).k_part
-        else:
-            u, v = a, b
+        u, v = (random_part(s, rng, part) for part in STRATA[tag])
         try:
             return sectional(s, u, v)
         except DegenerateSection:

@@ -33,6 +33,8 @@ DEGENERATE_AREA_RTOL = 1e-12
 # quartic_commuting: relative tolerance on the commutator norm
 COMMUTING_RTOL = 1e-10
 
+_NOT_FINITE = "the quartic or the squared area of the plane is not finite"
+
 
 @dataclass(frozen=True)
 class SectionReport:
@@ -100,24 +102,46 @@ def quartic(s: CartanStructure, u, v) -> float:
 def sectional(s: CartanStructure, u, v) -> SectionReport:
     """Sectional curvature of span{u, v} with the full term breakdown.
 
-    Raises Overflow when the quartic or the area leaves the floating-point
-    range, and DegenerateSection when the squared area of the parallelogram
-    is at or below DEGENERATE_AREA_RTOL * ||u||^2 ||v||^2 (nearly dependent
-    inputs make the ratio meaningless).
+    Computed on u and v rescaled by powers of two to a largest entry in
+    [1/2, 1), so the sectional value and the degeneracy test do not depend
+    on the scale of the inputs; the other fields are scaled back exactly and
+    may underflow. Raises Overflow when one leaves the floating-point range,
+    and DegenerateSection when the squared area is at or below
+    DEGENERATE_AREA_RTOL * ||u||^2 ||v||^2 (nearly dependent inputs).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        t1, t2, t3 = quartic_terms(s, u, v)
-        q = t1 + t2 + t3
-        uu, vv, uv = s.b_theta(u, u), s.b_theta(v, v), s.b_theta(u, v)
-        area_sq = uu * vv - uv * uv
+    # quartic_terms checks membership. With entries below 1 in modulus nothing
+    # overflows, so only a non-finite input fails the finiteness check
+    u, eu = _unit_scale(np.asarray(u))
+    v, ev = _unit_scale(np.asarray(v))
+    t1, t2, t3 = quartic_terms(s, u, v)
+    q = t1 + t2 + t3
+    uu, vv, uv = s.b_theta(u, u), s.b_theta(v, v), s.b_theta(u, v)
+    area_sq = uu * vv - uv * uv
     if not all(map(math.isfinite, (t1, t2, t3, q, area_sq))):
-        raise Overflow("the quartic or the squared area of the plane is not finite")
+        raise Overflow(_NOT_FINITE)
     if area_sq <= DEGENERATE_AREA_RTOL * uu * vv:
         raise DegenerateSection(
             f"squared area {area_sq:.3g} is below {DEGENERATE_AREA_RTOL:g} * "
-            f"||u||^2 ||v||^2 = {DEGENERATE_AREA_RTOL * uu * vv:.3g}")
-    return SectionReport(quartic=q, area_sq=area_sq, sectional=q / area_sq,
-                         term_pp=t1, term_mixed=t2, term_cross=t3)
+            f"||u||^2 ||v||^2 = {DEGENERATE_AREA_RTOL * uu * vv:.3g} "
+            f"(u scaled by 2^{-eu}, v by 2^{-ev})")
+    k = 2 * (eu + ev)  # the quartic, area and terms have degree 2 in u and in v
+    try:
+        return SectionReport(
+            quartic=math.ldexp(q, k), area_sq=math.ldexp(area_sq, k),
+            sectional=q / area_sq, term_pp=math.ldexp(t1, k),
+            term_mixed=math.ldexp(t2, k), term_cross=math.ldexp(t3, k))
+    except OverflowError:
+        raise Overflow(_NOT_FINITE) from None
+
+
+def _unit_scale(u: np.ndarray) -> tuple[np.ndarray, int]:
+    """(u / 2^e, e) with the largest entry modulus of u / 2^e in [1/2, 1);
+    e = 0 for an empty or zero u, and e >= -1021 so 2^-e stays finite.
+    Non-finite entries stay non-finite."""
+    # a Python max over the entries costs a third of np.abs(u).max() here
+    _, e = math.frexp(max(map(abs, u.ravel().tolist()), default=0.0))
+    e = max(e, -1021)
+    return (u, e) if e == 0 else (u * math.ldexp(1.0, -e), e)
 
 
 def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:

@@ -80,6 +80,13 @@ def _residual(s: CartanStructure, u, t: float,
     return residual
 
 
+def _check_grid(t_max: float, steps: int) -> None:
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
+
+
 @dataclass(frozen=True)
 class GeodesicSample:
     """One grid point of a geodesic trace."""
@@ -92,9 +99,9 @@ class GeodesicSample:
 
 def geodesic_trace(s: CartanStructure, u, t_max: float = 2.0,
                    steps: int = DEFAULT_STEPS) -> list[GeodesicSample]:
-    """Sample the geodesic on a uniform grid of `steps` points over [0, t_max]."""
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    """Sample the geodesic on a uniform grid of `steps` points over [0, t_max]
+    (ValueError for steps < 2 or a non-finite t_max)."""
+    _check_grid(t_max, steps)
     out = []
     for t in np.linspace(0.0, t_max, steps):
         t = float(t)
@@ -190,13 +197,13 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
     """Track the subgroup defect of the geodesic from a tangent u in the algebra.
 
     Raises DimensionMismatch unless u is a real matrix of the subgroup's
-    size, and TangentNotInAlgebra when algebra_defect(u) > 1e-10 ||u||. The
-    report passes when the largest defect over the t-grid stays at or below
+    size, TangentNotInAlgebra when algebra_defect(u) > 1e-10 ||u||, and
+    ValueError for steps < 2 or a non-finite t_max. The report passes when
+    the largest defect over the t-grid stays at or below
     1e-9 (1 + ||u|| t_max); for a transpose-invariant subgroup the geodesic
     should never leave, while the UT control visibly escapes.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    _check_grid(t_max, steps)
     s = gl_real(spec.n)
     u = s.check_member(u)
     u_norm = float(np.linalg.norm(u))

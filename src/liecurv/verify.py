@@ -28,8 +28,8 @@ import numpy as np
 import scipy
 
 from .algebra import bracket, random_matrix
-from .cartan import (CartanStructure, gl_complex, gl_real, standard_basis,
-                     theta_split, validate)
+from .cartan import (CartanStructure, gl_complex, gl_real, random_part,
+                     standard_basis, validate)
 from .curvature import (bracket_norm_identity_gap, quartic, quartic_commuting,
                         quartic_special)
 from .geodesics import (FD_STEP, geodesic_residual, subgroup_from_selector,
@@ -46,6 +46,18 @@ CONTROL_FLOOR = 1e-3
 EXAMPLE_BOUND = 1e-10
 # R_ijkl has d^4 entries: 105k at d = 18 (gl(3, C)), 1.7M for gl(6, R)
 RIEMANN_MAX_DIM = 18
+
+# sample counts that do not follow --trials
+IFF_RANDOM_PAIRS = 200
+IFF_COMMUTING_PAIRS = 50
+GEODESIC_SAMPLES = 100
+SUBGROUP_TANGENTS = 10
+RIEMANN_SECTIONS = 10
+
+# structures of the oracle sweep when none is forced; the Riemann suite runs
+# on those with real dimension <= RIEMANN_MAX_DIM
+DEFAULT_PLAN = (gl_real(2), gl_real(3), gl_real(4), gl_real(6),
+                gl_complex(2), gl_complex(3), gl_complex(4))
 
 EXAMPLE_2X2_U = [[1.0, math.sqrt(7.0) / 2.0], [-math.sqrt(7.0) / 2.0, 2.0]]
 EXAMPLE_2X2_V = [[0.0, 1.0], [1.0, 0.0]]
@@ -128,18 +140,6 @@ def _suite(name: str, metric: float, bound: float, kind: str = "absolute",
                        kind=kind, passed=bool(ok), detail=detail or {})
 
 
-def _p_sample(s: CartanStructure, rng: np.random.Generator) -> np.ndarray:
-    return theta_split(s, random_matrix(rng, s.n, s.field)).p_part
-
-
-def _k_sample(s: CartanStructure, rng: np.random.Generator) -> np.ndarray:
-    return theta_split(s, random_matrix(rng, s.n, s.field)).k_part
-
-
-def _g_sample(s: CartanStructure, rng: np.random.Generator) -> np.ndarray:
-    return random_matrix(rng, s.n, s.field)
-
-
 def run_verify(structure: Optional[CartanStructure] = None, seed: int = 42,
                trials: int = 500,
                tol_override: Optional[float] = None) -> VerifyReport:
@@ -147,20 +147,24 @@ def run_verify(structure: Optional[CartanStructure] = None, seed: int = 42,
 
     tol_override, when given, replaces the bound of every absolute suite;
     ratio, count and floor suites keep theirs. Failures are recorded in the
-    report, never raised; trials below 1 raise ValueError.
+    report, never raised; trials below 1 and a non-finite tol_override
+    raise ValueError.
     """
     t0 = time.perf_counter()
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if tol_override is not None and not math.isfinite(tol_override):
+        raise ValueError(f"tol_override must be finite, got {tol_override}")
     target = structure if structure is not None else gl_real(3)
     label = structure.name if structure is not None else "default"
+    plan = (structure,) if structure is not None else DEFAULT_PLAN
     rng = np.random.default_rng(seed)
     suites = []
 
     suites += _timed(_axioms_suite, structure, seed, trials)
     suites += _timed(_example_2x2_suite)
     suites += _timed(_example_3x3_suite)
-    suites += _timed(_oracle_suite, structure, target, rng, trials)
+    suites += _timed(_oracle_suite, plan, rng, trials)
     suites += _timed(_sign_suites, target, rng, trials)
     suites += _timed(_bracket_claim_suite, target, rng, trials)
     suites += _timed(_commuting_suite, target, seed, trials)
@@ -168,7 +172,7 @@ def run_verify(structure: Optional[CartanStructure] = None, seed: int = 42,
     suites += _timed(_symmetric_iff_suite, rng, seed)
     suites += _timed(_geodesic_suite, target, rng)
     suites += _timed(_subgroup_suites, rng)
-    suites += _timed(_riemann_suite, structure, rng)
+    suites += _timed(_riemann_suite, plan, rng)
 
     if tol_override is not None:
         suites = [replace(s, bound=float(tol_override),
@@ -195,10 +199,9 @@ def _axioms_suite(structure: Optional[CartanStructure], seed: int,
     worst = 0.0
     detail = {}
     for s in targets:
-        report = validate(s, trials=max(2, min(trials, 100)), seed=seed)
-        detail[s.name] = {"passed": report.passed,
-                          "max_error_ratio": report.max_error_ratio}
-        worst = max(worst, report.max_error_ratio)
+        ratio = max(validate(s, max(2, min(trials, 100)), seed).values())
+        detail[s.name] = {"passed": bool(ratio <= 1.0), "max_error_ratio": ratio}
+        worst = max(worst, ratio)
     return _suite("structure_axioms", worst, 1.0, "ratio", detail)
 
 
@@ -227,23 +230,17 @@ def _example_3x3_suite() -> SuiteResult:
                           "commuting_value": qc})
 
 
-def _oracle_suite(structure: Optional[CartanStructure], target: CartanStructure,
-                  rng: np.random.Generator, trials: int) -> SuiteResult:
-    if structure is not None:
-        plan = [(target, trials)]
-    else:
-        plan = [(gl_real(2), trials), (gl_real(3), trials), (gl_real(4), trials),
-                (gl_real(6), trials), (gl_complex(2), trials),
-                (gl_complex(3), trials), (gl_complex(4), trials)]
+def _oracle_suite(plan: tuple[CartanStructure, ...], rng: np.random.Generator,
+                  trials: int) -> SuiteResult:
     worst = 0.0
     detail = {}
-    for s, count in plan:
+    for s in plan:
         local = 0.0
-        for _ in range(count):
-            u, v = _g_sample(s, rng), _g_sample(s, rng)
+        for _ in range(trials):
+            u, v = random_part(s, rng, "g"), random_part(s, rng, "g")
             local = max(local, rel_gap(quartic(s, u, v),
                                        quartic_from_definition(s, u, v)))
-        detail[s.name] = {"sections": count, "max_rel_gap": local}
+        detail[s.name] = {"sections": trials, "max_rel_gap": local}
         worst = max(worst, local)
     return _suite("oracle_agreement", worst, ORACLE_BOUND, detail=detail)
 
@@ -253,9 +250,9 @@ def _sign_suites(s: CartanStructure, rng: np.random.Generator,
     worst_pp = worst_kk = worst_pk = worst_gk = -np.inf
     worst_gp = 0.0
     for _ in range(trials):
-        p1, p2 = _p_sample(s, rng), _p_sample(s, rng)
-        k1, k2 = _k_sample(s, rng), _k_sample(s, rng)
-        g1, g2 = _g_sample(s, rng), _g_sample(s, rng)
+        p1, p2 = random_part(s, rng, "p"), random_part(s, rng, "p")
+        k1, k2 = random_part(s, rng, "k"), random_part(s, rng, "k")
+        g1, g2 = random_part(s, rng, "g"), random_part(s, rng, "g")
         worst_pp = max(worst_pp, quartic(s, p1, p2))        # must stay <= 0
         worst_kk = max(worst_kk, -quartic(s, k1, k2))       # must stay >= 0
         worst_pk = max(worst_pk, -quartic(s, p1, k2))
@@ -276,7 +273,7 @@ def _bracket_claim_suite(s: CartanStructure, rng: np.random.Generator,
                          trials: int) -> SuiteResult:
     worst = 0.0
     for _ in range(trials):
-        u, v = _g_sample(s, rng), _g_sample(s, rng)
+        u, v = random_part(s, rng, "g"), random_part(s, rng, "g")
         scale = s.b_theta(u, u) * s.b_theta(v, v) + 1.0
         worst = max(worst, abs(bracket_norm_identity_gap(s, u, v)) / scale)
     return _suite("bracket_norm_claim", worst, BRACKET_CLAIM_BOUND,
@@ -305,13 +302,12 @@ def _flat_2x2_suite(seed: int, trials: int) -> SuiteResult:
                   detail={"pairs": trials})
 
 
-def _symmetric_iff_suite(rng: np.random.Generator, seed: int,
-                         n_random: int = 200, n_commuting: int = 50) -> SuiteResult:
+def _symmetric_iff_suite(rng: np.random.Generator, seed: int) -> SuiteResult:
     s = gl_real(3)
     violations = 0
-    for i in range(n_random + n_commuting):
-        if i < n_random:
-            u, v = _p_sample(s, rng), _p_sample(s, rng)
+    for i in range(IFF_RANDOM_PAIRS + IFF_COMMUTING_PAIRS):
+        if i < IFF_RANDOM_PAIRS:
+            u, v = random_part(s, rng, "p"), random_part(s, rng, "p")
         else:
             u, v = commuting_pair(seed + 20_000 + i, 3, symmetric=True)
         bracket_zero = np.linalg.norm(bracket(u, v)) <= 1e-10
@@ -320,33 +316,33 @@ def _symmetric_iff_suite(rng: np.random.Generator, seed: int,
         if bracket_zero != quartic_zero:
             violations += 1
     return _suite("symmetric_iff", float(violations), 0.0, "count",
-                  detail={"random_pairs": n_random,
-                          "commuting_pairs": n_commuting})
+                  detail={"random_pairs": IFF_RANDOM_PAIRS,
+                          "commuting_pairs": IFF_COMMUTING_PAIRS})
 
 
-def _geodesic_suite(s: CartanStructure, rng: np.random.Generator,
-                    samples: int = 100) -> SuiteResult:
+def _geodesic_suite(s: CartanStructure, rng: np.random.Generator) -> SuiteResult:
     grid = [0.25 * k for k in range(9)]
     worst = 0.0
-    for _ in range(samples):
-        u = random_matrix(rng, s.n, s.field)
+    for _ in range(GEODESIC_SAMPLES):
+        u = random_part(s, rng, "g")
         u_norm = np.linalg.norm(u)
         if u_norm > 2.0:
             u = (2.0 / u_norm) * u
         for t in grid:
             worst = max(worst, geodesic_residual(s, u, t))
     return _suite("geodesic_residual", worst, GEODESIC_BOUND,
-                  detail={"samples": samples, "t_grid": grid, "h": FD_STEP})
+                  detail={"samples": GEODESIC_SAMPLES, "t_grid": grid,
+                          "h": FD_STEP})
 
 
-def _subgroup_suites(rng: np.random.Generator, tangents: int = 10) -> list[SuiteResult]:
+def _subgroup_suites(rng: np.random.Generator) -> list[SuiteResult]:
     out = []
     for suite_name, selector in (("subgroup_so3", "so:3"),
                                  ("subgroup_sl2", "sl:2"),
                                  ("subgroup_o12", "opq:1,2")):
         spec = subgroup_from_selector(selector)
         worst = 0.0
-        for _ in range(tangents):
+        for _ in range(SUBGROUP_TANGENTS):
             u = spec.project(random_matrix(rng, spec.n))
             u_norm = np.linalg.norm(u)
             if u_norm > 0:
@@ -354,7 +350,7 @@ def _subgroup_suites(rng: np.random.Generator, tangents: int = 10) -> list[Suite
             report = totally_geodesic_check(spec, u, t_max=2.0)
             worst = max(worst, report.max_defect)
         out.append(_suite(suite_name, worst, SUBGROUP_BOUND,
-                          detail={"tangents": tangents, "t_max": 2.0}))
+                          detail={"tangents": SUBGROUP_TANGENTS, "t_max": 2.0}))
     control = subgroup_from_selector("ut:3")
     e12 = np.zeros((3, 3))
     e12[0, 1] = 1.0
@@ -364,19 +360,18 @@ def _subgroup_suites(rng: np.random.Generator, tangents: int = 10) -> list[Suite
     return out
 
 
-def _riemann_suite(structure: Optional[CartanStructure],
-                   rng: np.random.Generator, sections: int = 10) -> SuiteResult:
+def _riemann_suite(plan: tuple[CartanStructure, ...],
+                   rng: np.random.Generator) -> SuiteResult:
     """Symmetries of R_ijkl over a basis of cells rotated by a seeded
     orthogonal Q, relative to max|R|: antisymmetry in (k, l), pair symmetry,
     the first Bianchi identity, and R contracted with (u, v, v, u) against
     quartic_from_definition on the cell basis. (i, j) antisymmetry holds by
     construction and is not reported. On the plain cells every entry is an
     integer combination and the identities hold exactly; the rotation makes
-    them a real test."""
-    if structure is not None and structure.real_dim <= RIEMANN_MAX_DIM:
-        plan = [structure]
-    else:
-        plan = [gl_real(2), gl_real(3), gl_real(4), gl_complex(2), gl_complex(3)]
+    them a real test. A forced structure above RIEMANN_MAX_DIM falls back to
+    the small members of DEFAULT_PLAN."""
+    plan = ([s for s in plan if s.real_dim <= RIEMANN_MAX_DIM]
+            or [s for s in DEFAULT_PLAN if s.real_dim <= RIEMANN_MAX_DIM])
     worst = 0.0
     detail = {}
     for s in plan:
@@ -394,8 +389,8 @@ def _riemann_suite(structure: Optional[CartanStructure],
             return max(float(np.abs(term(i)).max()) for i in range(d)) / scale
 
         quartic_gap = 0.0
-        for _ in range(sections):
-            u, v = _g_sample(s, rng), _g_sample(s, rng)
+        for _ in range(RIEMANN_SECTIONS):
+            u, v = random_part(s, rng, "g"), random_part(s, rng, "g")
             x = np.array([s.b_theta(u, e) for e in basis])
             y = np.array([s.b_theta(v, e) for e in basis])
             contracted = np.einsum("ijkl,i,j,k,l->", R, x, y, y, x)
@@ -409,5 +404,5 @@ def _riemann_suite(structure: Optional[CartanStructure],
             "quartic_gap": quartic_gap,
         }
         worst = max(worst, *local.values())
-        detail[s.name] = {"real_dim": d, "sections": sections, **local}
+        detail[s.name] = {"real_dim": d, "sections": RIEMANN_SECTIONS, **local}
     return _suite("riemann_identities", worst, SIGN_BOUND, detail=detail)

@@ -116,6 +116,16 @@ def test_matrix_object_form_and_file_input(capsys, tmp_path):
     assert abs(json.loads(out)["quartic"]) <= 1e-10
 
 
+@pytest.mark.parametrize("matrix", [
+    '[["1","2"],["3","4"]]', "[[true,false],[false,true]]",
+    "[[1,2,3],[4,5,6]]", "[[1,2],[3]]", "[1,2]"])
+def test_bare_nested_list_is_validated_like_the_object_form(capsys, matrix):
+    code, out, err = run(capsys, "section", "--u", matrix, "--v", V_2X2)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, "section", "--u", "nosuchfile.json", "--v", V_2X2)
     assert code == 2
@@ -182,6 +192,16 @@ def test_verify_tol_moves_only_error_bounds(capsys):
     assert bounds["symmetric_iff"] == 0.0
     assert bounds["oracle_agreement"] == 10.0
     assert bounds["subgroup_ut3_control"] == 1e-3
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+def test_verify_non_finite_tol_exit_2(capsys, tol):
+    # inf would pass every absolute suite, and neither value is valid JSON
+    code, out, err = run(capsys, "verify", "--structure", "gl:real:2",
+                         "--trials", "1", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "tol_override must be finite" in err
 
 
 def test_verify_rejects_csv(capsys):
@@ -287,6 +307,18 @@ def test_geodesic_bad_steps_exit_2(capsys):
     code, _, _ = run(capsys, "subgroup", "--group", "so:3", "--u", SKEW_3,
                      "--steps", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_non_finite_t_max_exit_2(capsys, t_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["geodesic", "--u", SKEW_3],
+                     ["subgroup", "--group", "so:3", "--u", SKEW_3]):
+            code, out, err = run(capsys, *argv, "--t-max", t_max)
+            assert code == 2
+            assert out == ""
+            assert "t_max must be finite" in err
 
 
 def test_subgroup_so3_passes(capsys):

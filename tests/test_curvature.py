@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecurv import (COMPLEX, REAL, DegenerateSection, DimensionMismatch,
                      MatrixElement, NotCommuting, NotPureType, Overflow,
                      bracket, bracket_norm_identity_gap, curvature_tensor,
                      gl_complex, gl_real, nabla, nabla_case, quartic,
                      quartic_commuting, quartic_special, random_matrix,
-                     sectional, theta_split)
+                     random_part, sectional, theta_split)
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -18,14 +20,6 @@ PAIR_3X3_U = MatrixElement([[1.0, 1.0, -1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
 PAIR_3X3_V = MatrixElement([[0.0, -1.0, 1.0], [-1.0, 2.0, -1.0], [-2.0, 2.0, -1.0]])
 SO3_U = MatrixElement([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 SO3_V = MatrixElement([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-
-
-def _p_sample(s, rng):
-    return theta_split(s, random_matrix(rng, s.n, s.field)).p_part
-
-
-def _k_sample(s, rng):
-    return theta_split(s, random_matrix(rng, s.n, s.field)).k_part
 
 
 # -- connection ---------------------------------------------------------------
@@ -70,10 +64,9 @@ def test_nabla_case_coefficients(cu, cv, coeff):
     s = gl_real(3)
     seeds = {("p", "p"): 211, ("k", "k"): 223, ("p", "k"): 227, ("k", "p"): 229}
     rng = np.random.default_rng(seeds[(cu, cv)])
-    pick = {"p": _p_sample, "k": _k_sample}
     for _ in range(10):
-        u = pick[cu](s, rng)
-        v = pick[cv](s, rng)
+        u = random_part(s, rng, cu)
+        v = random_part(s, rng, cv)
         value, tag = nabla_case(s, u, v)
         assert tag == f"{cu}_{cv}"
         assert norm(value - coeff * bracket(u, v)) == 0.0
@@ -147,7 +140,7 @@ def test_curvature_tensor_symmetric_triple():
     s = gl_real(3)
     rng = np.random.default_rng(61)
     for _ in range(10):
-        u, v = _p_sample(s, rng), _p_sample(s, rng)
+        u, v = random_part(s, rng, "p"), random_part(s, rng, "p")
         value = curvature_tensor(s, u, v, v)
         direct = -1.75 * bracket(bracket(u, v), v)
         assert norm(value - direct) <= 1e-12 * (norm(direct) + 1.0)
@@ -179,7 +172,7 @@ def test_cross_term_claim():
     rng = np.random.default_rng(73)
     for _ in range(15):
         parts = theta_split(s, random_matrix(rng, 3))
-        for v in (_p_sample(s, rng), _k_sample(s, rng)):
+        for v in (random_part(s, rng, "p"), random_part(s, rng, "k")):
             val = s.b_theta(curvature_tensor(s, parts.p_part, v, v), parts.k_part)
             assert abs(val) <= 1e-12 * (norm(v) ** 2 + 1.0)
 
@@ -255,14 +248,46 @@ def test_sectional_degenerate_rejected():
 
 
 def test_sectional_overflow_is_caught_before_degeneracy():
-    # the brackets overflow to inf - inf = nan; previously this surfaced as
-    # a non-finite MatrixElement
+    # the quartic of this independent pair is near 1e800; a dependent pair
+    # is degenerate at any scale, since the test runs on the rescaled pair
     u = MatrixElement([[1e200, 2e200], [3e200, 4e200]])
     v = MatrixElement([[0.0, 1e200], [1e200, 0.0]])
     with pytest.raises(Overflow):
         sectional(gl_real(2), u, v)
-    with pytest.raises(Overflow):
+    with pytest.raises(DegenerateSection):
         sectional(gl_real(2), u, u)
+
+
+SCALE_STRUCTURES = st.sampled_from([gl_real(3), gl_complex(2)])
+
+
+@settings(database=None, derandomize=True)
+@given(SCALE_STRUCTURES, st.integers(0, 2**32 - 1),
+       st.integers(-400, 200), st.integers(-400, 200))
+def test_sectional_is_bit_equal_under_power_of_two_scales(s, seed, k, j):
+    rng = np.random.default_rng(seed)
+    u, v = random_matrix(rng, s.n, s.field), random_matrix(rng, s.n, s.field)
+    base = sectional(s, u, v)
+    rep = sectional(s, math.ldexp(1.0, k) * u, math.ldexp(1.0, j) * v)
+    assert rep.sectional == base.sectional
+    assert rep.quartic == math.ldexp(base.quartic, 2 * (k + j))
+    assert rep.area_sq == math.ldexp(base.area_sq, 2 * (k + j))
+
+
+@settings(database=None, derandomize=True)
+@given(SCALE_STRUCTURES, st.integers(0, 2**32 - 1),
+       st.floats(1e-150, 1e-1), st.floats(1e-150, 1e-1))
+def test_sectional_keeps_its_value_at_small_scales(s, seed, a, b):
+    # 1e-100 used to underflow the area to 0 and read as degenerate. The gap
+    # is measured against the size of the terms: a sectional value near 0
+    # is the difference of terms of order 1
+    rng = np.random.default_rng(seed)
+    u, v = random_matrix(rng, s.n, s.field), random_matrix(rng, s.n, s.field)
+    base = sectional(s, u, v)
+    rep = sectional(s, a * u, b * v)
+    size = (abs(base.term_pp) + abs(base.term_mixed)
+            + abs(base.term_cross)) / base.area_sq
+    assert abs(rep.sectional - base.sectional) <= 1e-12 * size
 
 
 def test_nabla_quartic_dimension_mismatch():
@@ -312,7 +337,7 @@ def test_quartic_special_mixed_u_pure_p_v():
     rng = np.random.default_rng(97)
     for _ in range(20):
         u = random_matrix(rng, 3)
-        v = _p_sample(s, rng)
+        v = random_part(s, rng, "p")
         value, tag = quartic_special(s, u, v)
         assert tag == "g_p"
         parts = theta_split(s, u)
@@ -325,11 +350,10 @@ def test_quartic_special_mixed_u_pure_p_v():
 def test_quartic_special_all_pure_cases_match_general():
     s = gl_real(3)
     rng = np.random.default_rng(101)
-    pick = {"p": _p_sample, "k": _k_sample}
     for cu in ("p", "k"):
         for cv in ("p", "k"):
             for _ in range(10):
-                u, v = pick[cu](s, rng), pick[cv](s, rng)
+                u, v = random_part(s, rng, cu), random_part(s, rng, cv)
                 value, tag = quartic_special(s, u, v)
                 assert tag == f"{cu}_{cv}"
                 assert abs(value - quartic(s, u, v)) <= 1e-12 * (abs(value) + 1.0)
@@ -367,8 +391,8 @@ def test_sign_theorems_sweep():
     rng = np.random.default_rng(103)
     for s, field in ((gl_real(3), REAL), (gl_complex(2), COMPLEX)):
         for _ in range(50):
-            p1, p2 = _p_sample(s, rng), _p_sample(s, rng)
-            k1, k2 = _k_sample(s, rng), _k_sample(s, rng)
+            p1, p2 = random_part(s, rng, "p"), random_part(s, rng, "p")
+            k1, k2 = random_part(s, rng, "k"), random_part(s, rng, "k")
             g = random_matrix(rng, s.n, field)
             assert quartic(s, p1, p2) <= 1e-12
             assert quartic(s, k1, k2) >= -1e-12
@@ -382,7 +406,7 @@ def test_symmetric_iff_forward():
     s = gl_real(3)
     rng = np.random.default_rng(107)
     for _ in range(50):
-        u, v = _p_sample(s, rng), _p_sample(s, rng)
+        u, v = random_part(s, rng, "p"), random_part(s, rng, "p")
         if norm(bracket(u, v)) > 1e-10:
             assert quartic(s, u, v) < 0.0
 
@@ -404,7 +428,7 @@ def test_skew_iff_both_directions():
     rng = np.random.default_rng(113)
     for _ in range(25):
         u = random_matrix(rng, 3)
-        v = _k_sample(s, rng)
+        v = random_part(s, rng, "k")
         q = quartic(s, u, v)
         bn = norm(bracket(u, v))
         assert (q <= 1e-12 * (norm(u) * norm(v) + 1.0) ** 2) == (bn <= 1e-6)
@@ -418,7 +442,7 @@ def test_bracket_norm_gap_pure_v_exact():
     rng = np.random.default_rng(127)
     for _ in range(10):
         u = random_matrix(rng, 3)
-        v = _p_sample(s, rng)
+        v = random_part(s, rng, "p")
         assert bracket_norm_identity_gap(s, u, v) == 0.0
 
 
@@ -426,7 +450,7 @@ def test_bracket_norm_gap_skew_u_small():
     s = gl_real(3)
     rng = np.random.default_rng(131)
     for _ in range(10):
-        u = _k_sample(s, rng)
+        u = random_part(s, rng, "k")
         v = random_matrix(rng, 3)
         scale = s.b_theta(u, u) * s.b_theta(v, v) + 1.0
         assert abs(bracket_norm_identity_gap(s, u, v)) <= 1e-13 * scale
