@@ -78,6 +78,8 @@ def frobenius_inner(u, v) -> float:
     if u.shape != v.shape:
         # the elementwise product would broadcast instead of failing
         raise DimensionMismatch(f"operands disagree: shapes {u.shape} and {v.shape}")
+    if u.ndim != 2:
+        raise DimensionMismatch(f"expected two matrices, got shape {u.shape}")
     return float(np.sum(np.conj(u) * v).real)
 
 
@@ -85,14 +87,19 @@ def matrix_exp(u) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a degree-13 Pade
     approximant (relative accuracy ~1e-13 for ||u|| <= 10).
 
-    Raises Overflow if the result leaves the representable range.
+    u is one matrix or a stack of them on its last two axes; each slice of
+    a stack is bit-equal to its own call. Raises Overflow if the result
+    leaves the representable range, naming the norm of the first slice that
+    does.
     """
     u = np.asarray(u)
     with np.errstate(over="ignore", invalid="ignore"):
         out = scipy.linalg.expm(u)
     if not np.all(np.isfinite(out)):
+        finite = np.isfinite(out).all(axis=(-2, -1)).ravel()
+        first = u.reshape(-1, *u.shape[-2:])[np.argmin(finite)]
         raise Overflow(
-            f"exponential overflowed for a matrix of norm {np.linalg.norm(u):.3g}")
+            f"exponential overflowed for a matrix of norm {np.linalg.norm(first):.3g}")
     return out
 
 
@@ -136,6 +143,10 @@ def matrix_from_json(obj: Any) -> MatrixElement:
     if isinstance(obj, list):
         if not all(isinstance(row, list) for row in obj):
             raise ValueError("a nested list must hold rows that are lists")
+        lengths = [len(row) for row in obj]
+        if len(set(lengths)) > 1:
+            raise ValueError(
+                f"rows of a nested list must have equal lengths, got {lengths}")
         return MatrixElement([[_num(x) for x in row] for row in obj])
     if not isinstance(obj, dict):
         raise ValueError(f"expected a matrix object or nested list, got {type(obj).__name__}")

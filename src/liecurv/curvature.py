@@ -88,7 +88,8 @@ def quartic_terms(s: CartanStructure, u, v) -> tuple[float, float, float]:
     b11 = bracket(su.p_part, sv.p_part)
     b22 = bracket(su.k_part, sv.k_part)
     buv = bracket(u, v)
-    return (-2.0 * s.b_theta(b11, b11),
+    # 0.0 - x is -x except that a vanishing term stays +0.0, as in b_theta
+    return (0.0 - 2.0 * s.b_theta(b11, b11),
             0.25 * s.b_theta(buv, buv),
             2.0 * s.b_theta(b11, b22))
 
@@ -169,7 +170,7 @@ def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:
         else:
             value = 0.25 * nsq(bracket(u, v))
     elif (cu, cv) == ("p", "p"):
-        value = -1.75 * nsq(bracket(u, v))
+        value = 0.0 - 1.75 * nsq(bracket(u, v))
     else:
         # k_k, p_k and k_p all carry the coefficient +1/4
         value = 0.25 * nsq(bracket(u, v))
@@ -188,7 +189,7 @@ def quartic_commuting(s: CartanStructure, u, v) -> float:
         raise NotCommuting(
             f"||[u, v]|| = {bn:.3g} exceeds {allowed:.3g}; pair does not commute")
     b11 = bracket(theta_split(s, u).p_part, theta_split(s, v).p_part)
-    return -4.0 * s.b_theta(b11, b11)
+    return 0.0 - 4.0 * s.b_theta(b11, b11)
 
 
 def bracket_norm_identity_gap(s: CartanStructure, u, v) -> float:

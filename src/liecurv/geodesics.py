@@ -10,6 +10,10 @@ and its body velocity gamma(t)^-1 gamma'(t) has the closed form
 exp(-t s) a exp(t s) + s with a = -theta u and s = u - a. On gl(n, R) this
 is exp(t u^T) exp(t (u - u^T)). geodesic_residual measures how well the
 curve satisfies the geodesic equation.
+
+Each of the three takes t as a float or as a 1-D array of times. For an
+array the exponentials of the whole grid are taken as one stack, and every
+slice is bit-equal to the call at its own t.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .algebra import matrix_exp
 from .cartan import CartanStructure, gl_real
 from .curvature import nabla
-from .errors import Overflow, TangentNotInAlgebra, UnknownGroup
+from .errors import DimensionMismatch, Overflow, TangentNotInAlgebra, UnknownGroup
 
 # totally_geodesic_check: tangency gate and pass line for the defect sweep
 TANGENT_RTOL = 1e-10
@@ -33,17 +37,32 @@ DEFAULT_STEPS = 64
 FD_STEP = 1e-5
 
 
-def geodesic_point(s: CartanStructure, u, t: float) -> np.ndarray:
-    """gamma(t) = exp(-t theta u) exp(t (u + theta u))."""
-    u = s.check_member(u)
+Times = float | np.ndarray
+
+
+def _stack_times(t: Times) -> float | np.ndarray:
+    """t as a float, or a 1-D array of t as a (T, 1, 1) column that scales
+    one matrix per time."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise DimensionMismatch(
+            f"t must be a float or a 1-D array, got shape {t.shape}")
+    return t.reshape(-1, 1, 1) if t.ndim else float(t)
+
+
+def geodesic_point(s: CartanStructure, u, t: Times) -> np.ndarray:
+    """gamma(t) = exp(-t theta u) exp(t (u + theta u)); a (T, n, n) stack
+    for a 1-D array of T times."""
+    u, t = s.check_matrix(u), _stack_times(t)
     a = -1.0 * s.theta(u)
     return matrix_exp(t * a) @ matrix_exp(t * (u - a))
 
 
-def geodesic_body_velocity(s: CartanStructure, u, t: float) -> np.ndarray:
+def geodesic_body_velocity(s: CartanStructure, u, t: Times) -> np.ndarray:
     """omega(t) = gamma(t)^-1 gamma'(t) = exp(-t s2) a exp(t s2) + s2
-    with a = -theta u and s2 = u + theta u."""
-    u = s.check_member(u)
+    with a = -theta u and s2 = u + theta u; a (T, n, n) stack for a 1-D
+    array of T times."""
+    u, t = s.check_matrix(u), _stack_times(t)
     a = -1.0 * s.theta(u)
     s2 = u - a
     return matrix_exp(-t * s2) @ a @ matrix_exp(t * s2) + s2
@@ -55,29 +74,37 @@ experimental_geodesic_point = geodesic_point
 experimental_geodesic_body_velocity = geodesic_body_velocity
 
 
-def geodesic_residual(s: CartanStructure, u, t: float) -> float:
-    """Geodesic-equation defect ||omega'(t) + nabla(omega(t), omega(t))||.
+def geodesic_residual(s: CartanStructure, u, t: Times) -> float | np.ndarray:
+    """Geodesic-equation defect ||omega'(t) + nabla(omega(t), omega(t))||,
+    a float, or an array of T defects for a 1-D array of T times.
 
     omega' is a central finite difference with step FD_STEP. For a true
     geodesic the residual is at the differencing noise floor (<= 1e-6 for
-    ||u|| <= 2, t in [0, 2]). Raises Overflow when the defect is not finite.
+    ||u|| <= 2, t in [0, 2]). Raises Overflow when a defect is not finite,
+    naming the first such t.
     """
     return _residual(s, u, t)
 
 
-def _residual(s: CartanStructure, u, t: float,
-              w: Optional[np.ndarray] = None) -> float:
+def _residual(s: CartanStructure, u, t: Times,
+              w: Optional[np.ndarray] = None) -> float | np.ndarray:
     """geodesic_residual, reusing omega(t) = w when the caller has it."""
+    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         if w is None:
             w = geodesic_body_velocity(s, u, t)
         w_plus = geodesic_body_velocity(s, u, t + FD_STEP)
         w_minus = geodesic_body_velocity(s, u, t - FD_STEP)
         w_dot = (w_plus - w_minus) / (2.0 * FD_STEP)
-        residual = float(np.linalg.norm(w_dot + nabla(s, w, w)))
-    if not math.isfinite(residual):
-        raise Overflow(f"geodesic residual at t = {t:g} is not finite")
-    return residual
+        defect = w_dot + nabla(s, w, w)
+        # one slice at a time: norm(axis=(-2, -1)) is not bit-equal to it
+        residual = np.array([np.linalg.norm(d) for d in
+                             defect.reshape(-1, *defect.shape[-2:])])
+    finite = np.isfinite(residual)
+    if not finite.all():
+        first = t.ravel()[np.argmin(finite)]
+        raise Overflow(f"geodesic residual at t = {first:g} is not finite")
+    return residual if t.ndim else float(residual[0])
 
 
 def _check_grid(t_max: float, steps: int) -> None:
@@ -102,14 +129,15 @@ def geodesic_trace(s: CartanStructure, u, t_max: float = 2.0,
     """Sample the geodesic on a uniform grid of `steps` points over [0, t_max]
     (ValueError for steps < 2 or a non-finite t_max)."""
     _check_grid(t_max, steps)
-    out = []
-    for t in np.linspace(0.0, t_max, steps):
-        t = float(t)
-        gamma = geodesic_point(s, u, t)
-        omega = geodesic_body_velocity(s, u, t)
-        out.append(GeodesicSample(t=t, gamma=gamma, omega=omega,
-                                  residual=_residual(s, u, t, omega)))
-    return out
+    ts = np.linspace(0.0, t_max, steps)
+    # omega and the residual before gamma: a tangent too large for the
+    # residual fails at t = 0, before gamma's first factor can overflow,
+    # which is the order a point-by-point sweep meets the two failures in
+    omega = geodesic_body_velocity(s, u, ts)
+    residual = _residual(s, u, ts, omega)
+    gamma = geodesic_point(s, u, ts)
+    return [GeodesicSample(t=float(t), gamma=g, omega=w, residual=float(r))
+            for t, g, w, r in zip(ts, gamma, omega, residual)]
 
 
 # -- subgroups ----------------------------------------------------------------
@@ -205,16 +233,17 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
     """
     _check_grid(t_max, steps)
     s = gl_real(spec.n)
-    u = s.check_member(u)
+    u = s.check_matrix(u)
     u_norm = float(np.linalg.norm(u))
     adef = spec.algebra_defect(u)
     if adef > TANGENT_RTOL * u_norm:
         raise TangentNotInAlgebra(
             f"algebra defect {adef:.3g} exceeds {TANGENT_RTOL:g} * ||u|| "
             f"= {TANGENT_RTOL * u_norm:.3g} for {spec.name}")
+    ts = np.linspace(0.0, t_max, steps)
     max_defect, argmax_t = 0.0, 0.0
-    for t in np.linspace(0.0, t_max, steps):
-        d = spec.group_defect(geodesic_point(s, u, float(t)))
+    for t, gamma in zip(ts, geodesic_point(s, u, ts)):
+        d = spec.group_defect(gamma)
         if d > max_defect:
             max_defect, argmax_t = d, float(t)
     threshold = DEFECT_RTOL * (1.0 + u_norm * t_max)

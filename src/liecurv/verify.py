@@ -3,16 +3,18 @@
 run_verify executes the full set of checks (structure axioms, two-route
 oracle agreement, sign theorems, mixed-pair match, commutator-norm
 decomposition, commuting-pair theorems, the symmetric iff, geodesic
-residuals, totally-geodesic subgroup sweeps, and the symmetries of the
-Riemann tensor) and returns one report with a max-error-versus-bound line
-and a wall time per suite, plus the software environment. The CLI's verify
-command serializes this report as the library's correctness certificate.
+residuals, totally-geodesic subgroup sweeps, the symmetries of the
+Riemann tensor, and the link between the geodesic and its body velocity)
+and returns one report with a max-error-versus-bound line and a wall time
+per suite, plus the software environment. The CLI's verify command
+serializes this report as the library's correctness certificate.
 
 Suites keyed to a specific structure (the worked 2x2 and 3x3 pairs, the 2x2
-flatness of commuting pairs, the subgroup sweeps) always run on their fixed
-real structures; the generic suites run on the structure passed in (default
-gl:real:3, plus a multi-size sweep for the oracle and Riemann suites when no
-structure is forced).
+flatness of commuting pairs, the subgroup sweeps, the velocity link on
+gl:real:3 and gl:complex:2) always run on their fixed structures; the
+generic suites run on the structure passed in (default gl:real:3, plus a
+multi-size sweep for the oracle and Riemann suites when no structure is
+forced).
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .cartan import (CartanStructure, gl_complex, gl_real, random_part,
                      standard_basis, validate)
 from .curvature import (bracket_norm_identity_gap, quartic, quartic_commuting,
                         quartic_special)
-from .geodesics import (FD_STEP, geodesic_residual, subgroup_from_selector,
+from .geodesics import (FD_STEP, geodesic_body_velocity, geodesic_point,
+                        geodesic_residual, subgroup_from_selector,
                         totally_geodesic_check)
 from .oracles import commuting_pair, quartic_from_definition, riemann_from_metric
 
@@ -53,6 +56,10 @@ IFF_COMMUTING_PAIRS = 50
 GEODESIC_SAMPLES = 100
 SUBGROUP_TANGENTS = 10
 RIEMANN_SECTIONS = 10
+LINK_TANGENTS = 10
+# times of the geodesic suites, each grid taken as one stack per tangent
+GEODESIC_GRID = 0.25 * np.arange(9)
+GEODESIC_GRID.setflags(write=False)
 
 # structures of the oracle sweep when none is forced; the Riemann suite runs
 # on those with real dimension <= RIEMANN_MAX_DIM
@@ -173,6 +180,7 @@ def run_verify(structure: Optional[CartanStructure] = None, seed: int = 42,
     suites += _timed(_geodesic_suite, target, rng)
     suites += _timed(_subgroup_suites, rng)
     suites += _timed(_riemann_suite, plan, rng)
+    suites += _timed(_velocity_link_suite, rng)
 
     if tol_override is not None:
         suites = [replace(s, bound=float(tol_override),
@@ -321,18 +329,20 @@ def _symmetric_iff_suite(rng: np.random.Generator, seed: int) -> SuiteResult:
 
 
 def _geodesic_suite(s: CartanStructure, rng: np.random.Generator) -> SuiteResult:
-    grid = [0.25 * k for k in range(9)]
     worst = 0.0
     for _ in range(GEODESIC_SAMPLES):
-        u = random_part(s, rng, "g")
-        u_norm = np.linalg.norm(u)
-        if u_norm > 2.0:
-            u = (2.0 / u_norm) * u
-        for t in grid:
-            worst = max(worst, geodesic_residual(s, u, t))
+        u = _tangent(s, rng)
+        worst = max(worst, float(geodesic_residual(s, u, GEODESIC_GRID).max()))
     return _suite("geodesic_residual", worst, GEODESIC_BOUND,
-                  detail={"samples": GEODESIC_SAMPLES, "t_grid": grid,
-                          "h": FD_STEP})
+                  detail={"samples": GEODESIC_SAMPLES,
+                          "t_grid": GEODESIC_GRID.tolist(), "h": FD_STEP})
+
+
+def _tangent(s: CartanStructure, rng: np.random.Generator) -> np.ndarray:
+    """A random_part draw of s scaled down to norm 2 when it is longer."""
+    u = random_part(s, rng, "g")
+    u_norm = np.linalg.norm(u)
+    return (2.0 / u_norm) * u if u_norm > 2.0 else u
 
 
 def _subgroup_suites(rng: np.random.Generator) -> list[SuiteResult]:
@@ -406,3 +416,25 @@ def _riemann_suite(plan: tuple[CartanStructure, ...],
         worst = max(worst, *local.values())
         detail[s.name] = {"real_dim": d, "sections": RIEMANN_SECTIONS, **local}
     return _suite("riemann_identities", worst, SIGN_BOUND, detail=detail)
+
+
+def _velocity_link_suite(rng: np.random.Generator) -> SuiteResult:
+    """gamma(t)^-1 (gamma(t + h) - gamma(t - h)) / 2h against the closed-form
+    omega(t), h = FD_STEP: ties the body velocity to the curve it claims to
+    differentiate, which the residual suite takes on trust."""
+    worst = 0.0
+    detail = {}
+    for s in (gl_real(3), gl_complex(2)):
+        local = 0.0
+        for _ in range(LINK_TANGENTS):
+            u = _tangent(s, rng)
+            gamma = geodesic_point(s, u, GEODESIC_GRID)
+            fd = (geodesic_point(s, u, GEODESIC_GRID + FD_STEP)
+                  - geodesic_point(s, u, GEODESIC_GRID - FD_STEP)) / (2.0 * FD_STEP)
+            gap = (np.linalg.solve(gamma, fd)
+                   - geodesic_body_velocity(s, u, GEODESIC_GRID))
+            local = max(local, float(np.linalg.norm(gap, axis=(-2, -1)).max()))
+        detail[s.name] = {"tangents": LINK_TANGENTS, "max_gap": local}
+        worst = max(worst, local)
+    detail.update(t_grid=GEODESIC_GRID.tolist(), h=FD_STEP)
+    return _suite("geodesic_velocity_link", worst, GEODESIC_BOUND, detail=detail)

@@ -131,8 +131,17 @@ def test_matrix_exp_inverse_pairing():
 
 
 def test_matrix_exp_overflow():
-    with pytest.raises(Overflow):
+    with pytest.raises(Overflow, match="of norm 2.83e"):
         matrix_exp(MatrixElement([[2000.0, 0.0], [0.0, 2000.0]]))
+
+
+def test_stacked_matrix_exp_overflow_names_the_first_bad_slice():
+    # slices 0 and 1 are finite, 2 and 3 overflow: the text names slice 2
+    stack = np.array([s * np.eye(2) for s in (1.0, 300.0, 800.0, 2000.0)])
+    with pytest.raises(Overflow, match=r"of norm 1\.13e\+03$"):
+        matrix_exp(stack)
+    with pytest.raises(Overflow, match=r"of norm 1\.13e\+03$"):
+        matrix_exp(stack.reshape(2, 2, 2, 2))
 
 
 def test_random_element_deterministic():

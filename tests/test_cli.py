@@ -126,6 +126,14 @@ def test_bare_nested_list_is_validated_like_the_object_form(capsys, matrix):
     assert err.startswith("error: ")
 
 
+def test_ragged_rows_are_named_exit_2(capsys):
+    code, out, err = run(capsys, "section", "--u", "[[1,2],[3]]", "--v", V_2X2)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: rows of a nested list must have equal lengths, "
+                   "got [2, 1]\n")
+
+
 def test_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, "section", "--u", "nosuchfile.json", "--v", V_2X2)
     assert code == 2

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from liecurv import (COMPLEX, REAL, DegenerateSection, DimensionMismatch,
                      MatrixElement, NotCommuting, NotPureType, Overflow,
                      bracket, bracket_norm_identity_gap, curvature_tensor,
-                     gl_complex, gl_real, nabla, nabla_case, quartic,
-                     quartic_commuting, quartic_special, random_matrix,
-                     random_part, sectional, theta_split)
+                     frobenius_inner, gl_complex, gl_real, nabla, nabla_case,
+                     quartic, quartic_commuting, quartic_special,
+                     random_matrix, random_part, sectional, theta_split)
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -288,6 +288,35 @@ def test_sectional_keeps_its_value_at_small_scales(s, seed, a, b):
     size = (abs(base.term_pp) + abs(base.term_mixed)
             + abs(base.term_cross)) / base.area_sq
     assert abs(rep.sectional - base.sectional) <= 1e-12 * size
+
+
+def test_forms_of_one_plane_reject_a_stack():
+    # a stack would need one value per slice; these return one value
+    s = gl_real(2)
+    stack = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
+    for fn in (s.b_theta, frobenius_inner,
+               lambda u, v: quartic(s, u, v), lambda u, v: sectional(s, u, v),
+               lambda u, v: quartic_special(s, u, v),
+               lambda u, v: nabla_case(s, u, v)):
+        with pytest.raises(DimensionMismatch):
+            fn(stack, stack)
+        with pytest.raises(DimensionMismatch):
+            fn(stack[:1], stack[:1])
+
+
+def test_a_zero_vector_spans_no_plane_and_no_negative_zero():
+    s = gl_real(2)
+    assert math.copysign(1.0, s.b_theta(np.zeros((2, 2)), np.eye(2))) == 1.0
+    assert math.copysign(1.0, s.b_theta(np.zeros((2, 2)), np.zeros((2, 2)))) == 1.0
+    with pytest.raises(DegenerateSection,
+                       match=r"^squared area 0 is below .* = 0 \("):
+        sectional(s, np.zeros((2, 2)), np.eye(2))
+    # vanishing terms of a commuting pair print unsigned
+    rep = sectional(s, np.diag([1.0, 2.0]), np.diag([3.0, -1.0]))
+    assert all(math.copysign(1.0, x) == 1.0 for x in
+               (rep.quartic, rep.term_pp, rep.term_mixed, rep.term_cross))
+    assert math.copysign(1.0, quartic_commuting(
+        s, np.diag([1.0, 2.0]), np.diag([3.0, -1.0]))) == 1.0
 
 
 def test_nabla_quartic_dimension_mismatch():

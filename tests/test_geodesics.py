@@ -7,9 +7,10 @@ from scipy.linalg import expm
 from liecurv import (COMPLEX, DimensionMismatch, MatrixElement, Overflow,
                      TangentNotInAlgebra, UnknownGroup,
                      geodesic_body_velocity, geodesic_point, geodesic_residual,
-                     geodesic_trace, gl_complex, gl_real, random_matrix,
-                     subgroup_from_selector, totally_geodesic_check)
-from liecurv import geodesics
+                     geodesic_trace, gl_complex, gl_real, matrix_exp, nabla,
+                     random_matrix, subgroup_from_selector,
+                     totally_geodesic_check)
+from liecurv import geodesics, verify
 
 SKEW_3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 SYM_3 = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 0.5]])
@@ -139,17 +140,19 @@ def test_geodesic_trace_grid():
 
 
 def test_geodesic_trace_reuses_its_body_velocity(monkeypatch):
-    # 8 matrix_exp calls per grid point: two each for gamma and omega, and
-    # two each for omega(t + h) and omega(t - h) in the residual
+    # 8 stacked matrix_exp calls over the grid: two each for gamma and omega,
+    # and two each for omega(t + h) and omega(t - h) in the residual; in all
+    # they exponentiate 8 matrices per grid point
     s = gl_real(3)
     u = random_matrix(np.random.default_rng(43), 3)
     calls = []
     exp = geodesics.matrix_exp
     monkeypatch.setattr(geodesics, "matrix_exp",
-                        lambda a: calls.append(1) or exp(a))
+                        lambda a: calls.append(np.shape(a)) or exp(a))
     samples = geodesic_trace(s, u, steps=64)
     monkeypatch.undo()
-    assert len(calls) == 512
+    assert calls == [(64, 3, 3)] * 8
+    assert sum(np.prod(shape[:-2]) for shape in calls) <= 512
     for x in samples:
         assert np.array_equal(x.omega, geodesic_body_velocity(s, u, x.t))
         assert x.residual == geodesic_residual(s, u, x.t)
@@ -264,3 +267,60 @@ def test_totally_geodesic_check_input_validation():
                                    np.array([[1.0, 1.0j], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         totally_geodesic_check(spec, SKEW_3, steps=1)
+
+
+# -- the stacked t-grid ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("s", [gl_real(n) for n in (2, 3, 4, 6)]
+                         + [gl_complex(n) for n in (2, 3, 4, 6)],
+                         ids=lambda s: s.name)
+def test_a_stacked_grid_is_bit_equal_to_its_scalar_calls(s):
+    rng = np.random.default_rng(47 + s.n)
+    u = random_matrix(rng, s.n, s.field)
+    ts = np.linspace(0.0, 2.0, 9)
+    gammas = geodesic_point(s, u, ts)
+    omegas = geodesic_body_velocity(s, u, ts)
+    residuals = geodesic_residual(s, u, ts)
+    exps = matrix_exp(ts[:, None, None] * u)
+    nablas = nabla(s, omegas, gammas)
+    assert gammas.shape == omegas.shape == exps.shape == (9, s.n, s.n)
+    assert residuals.shape == (9,)
+    for k, t in enumerate(ts):
+        assert np.array_equal(gammas[k], geodesic_point(s, u, t))
+        assert np.array_equal(omegas[k], geodesic_body_velocity(s, u, t))
+        assert residuals[k] == geodesic_residual(s, u, float(t))
+        assert np.array_equal(exps[k], matrix_exp(t * u))
+        assert np.array_equal(nablas[k], nabla(s, omegas[k], gammas[k]))
+
+
+def test_geodesics_take_one_tangent_and_a_flat_grid():
+    s = gl_real(3)
+    with pytest.raises(DimensionMismatch):
+        geodesic_point(s, SKEW_3, np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        geodesic_residual(s, np.stack([SKEW_3, SYM_3]), 1.0)
+    with pytest.raises(DimensionMismatch):
+        totally_geodesic_check(subgroup_from_selector("so:3"),
+                               np.stack([SKEW_3, SKEW_3]))
+
+
+def test_stacked_residual_names_the_first_time_that_is_not_finite():
+    with pytest.raises(Overflow, match=r"at t = 0\.5 is"):
+        geodesic_residual(gl_real(3), 1e200 * SYM_3, [0.5, 1.0])
+
+
+def test_velocity_link_suite_passes_and_catches_a_corrupted_omega(monkeypatch):
+    report = verify._velocity_link_suite(np.random.default_rng(42))
+    assert report.name == "geodesic_velocity_link"
+    assert report.passed and report.kind == "absolute"
+    assert report.bound == verify.GEODESIC_BOUND
+    assert set(report.detail) == {"gl:real:3", "gl:complex:2", "t_grid", "h"}
+
+    def without_s2(s, u, t):
+        # the closed form with its "+ s2" term dropped
+        return geodesic_body_velocity(s, u, t) - (u - u.conj().T)
+    monkeypatch.setattr(verify, "geodesic_body_velocity", without_s2)
+    report = verify._velocity_link_suite(np.random.default_rng(42))
+    assert not report.passed
+    assert report.metric > 1e-2
