@@ -78,8 +78,6 @@ def frobenius_inner(u, v) -> float:
     if u.shape != v.shape:
         # the elementwise product would broadcast instead of failing
         raise DimensionMismatch(f"operands disagree: shapes {u.shape} and {v.shape}")
-    if u.ndim != 2:
-        raise DimensionMismatch(f"expected two matrices, got shape {u.shape}")
     return float(np.sum(np.conj(u) * v).real)
 
 

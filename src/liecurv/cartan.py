@@ -48,7 +48,7 @@ class CartanStructure:
 
     def theta(self, u: np.ndarray) -> np.ndarray:
         """theta u = -u*, slice by slice on a stack."""
-        return -np.conj(u).mT
+        return -np.conj(u).swapaxes(-1, -2)
 
     @property
     def real_dim(self) -> int:
@@ -59,28 +59,26 @@ class CartanStructure:
     def b_theta(self, u, v) -> float:
         """Derived inner product -B(u, theta v): the metric everything
         downstream uses. DimensionMismatch for a stack."""
+        u, v = np.asarray(u), np.asarray(v)
+        if u.ndim != 2 or v.ndim != 2:
+            raise DimensionMismatch(
+                f"b_theta takes two matrices, got shapes {u.shape} and {v.shape}")
         # 0.0 - x is -x for every x but +0.0, which it keeps unsigned
-        return 0.0 - _trace_form(np.asarray(u), self.theta(np.asarray(v)))
+        return 0.0 - _trace_form(u, self.theta(v))
 
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.b_theta(u, u), 0.0)))
 
-    def check_member(self, u) -> np.ndarray:
+    def check_member(self, u, stack: bool = False) -> np.ndarray:
         """u as an ndarray; DimensionMismatch unless it is an n x n matrix
-        over the structure's field, or a stack of them on its last two axes."""
+        over the structure's field (with stack=True, or a stack of them on
+        its last two axes)."""
         u = np.asarray(u)
-        if u.shape[-2:] != (self.n, self.n) or field_of(u) != self.field:
+        if ((u.shape[-2:] if stack else u.shape) != (self.n, self.n)
+                or field_of(u) != self.field):
             shape = "x".join(map(str, u.shape))
             raise DimensionMismatch(
                 f"{shape} {field_of(u)} matrix does not belong to {self.name}")
-        return u
-
-    def check_matrix(self, u) -> np.ndarray:
-        """check_member for exactly one matrix: a stack is a DimensionMismatch."""
-        u = self.check_member(u)
-        if u.ndim != 2:
-            raise DimensionMismatch(
-                f"expected one matrix of {self.name}, got a stack of shape {u.shape}")
         return u
 
 
@@ -104,9 +102,6 @@ def gl_complex(n: int) -> CartanStructure:
 
 
 def _trace_form(u: np.ndarray, v: np.ndarray) -> float:
-    if u.ndim != 2 or v.ndim != 2:
-        raise DimensionMismatch(
-            f"the trace form takes two matrices, got shapes {u.shape} and {v.shape}")
     return float(np.trace(u @ v).real)
 
 
@@ -156,7 +151,7 @@ def pure_class(s: CartanStructure, u) -> str:
     additive floor so the zero matrix counts as pure). Raises NotPureType for
     genuinely mixed vectors, DimensionMismatch for a stack.
     """
-    parts = theta_split(s, s.check_matrix(u))
+    parts = theta_split(s, u)
     np_, nk = np.linalg.norm(parts.p_part), np.linalg.norm(parts.k_part)
     allowed = PURITY_RTOL * np.linalg.norm(u) + 1e-14
     if nk <= allowed:

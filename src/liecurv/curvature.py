@@ -55,8 +55,9 @@ class SectionReport:
 
 
 def nabla(s: CartanStructure, u, v) -> np.ndarray:
-    """Covariant derivative of the left-invariant field v along u at the identity."""
-    u, v = s.check_member(u), s.check_member(v)
+    """Covariant derivative of the left-invariant field v along u at the
+    identity; slice by slice when u and v are stacks on their last two axes."""
+    u, v = s.check_member(u, stack=True), s.check_member(v, stack=True)
     return 0.5 * (bracket(u, v) - bracket(u, s.theta(v)) - bracket(v, s.theta(u)))
 
 

@@ -53,7 +53,7 @@ def _stack_times(t: Times) -> float | np.ndarray:
 def geodesic_point(s: CartanStructure, u, t: Times) -> np.ndarray:
     """gamma(t) = exp(-t theta u) exp(t (u + theta u)); a (T, n, n) stack
     for a 1-D array of T times."""
-    u, t = s.check_matrix(u), _stack_times(t)
+    u, t = s.check_member(u), _stack_times(t)
     a = -1.0 * s.theta(u)
     return matrix_exp(t * a) @ matrix_exp(t * (u - a))
 
@@ -62,7 +62,7 @@ def geodesic_body_velocity(s: CartanStructure, u, t: Times) -> np.ndarray:
     """omega(t) = gamma(t)^-1 gamma'(t) = exp(-t s2) a exp(t s2) + s2
     with a = -theta u and s2 = u + theta u; a (T, n, n) stack for a 1-D
     array of T times."""
-    u, t = s.check_matrix(u), _stack_times(t)
+    u, t = s.check_member(u), _stack_times(t)
     a = -1.0 * s.theta(u)
     s2 = u - a
     return matrix_exp(-t * s2) @ a @ matrix_exp(t * s2) + s2
@@ -130,12 +130,18 @@ def geodesic_trace(s: CartanStructure, u, t_max: float = 2.0,
     (ValueError for steps < 2 or a non-finite t_max)."""
     _check_grid(t_max, steps)
     ts = np.linspace(0.0, t_max, steps)
-    # omega and the residual before gamma: a tangent too large for the
-    # residual fails at t = 0, before gamma's first factor can overflow,
-    # which is the order a point-by-point sweep meets the two failures in
-    omega = geodesic_body_velocity(s, u, ts)
-    residual = _residual(s, u, ts, omega)
-    gamma = geodesic_point(s, u, ts)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = geodesic_point(s, u, ts)
+            omega = geodesic_body_velocity(s, u, ts)
+            residual = _residual(s, u, ts, omega)
+    except Overflow:
+        # walk the grid point by point, so that the error, and any warning
+        # before it, is the first one a sweep in t meets
+        for t in map(float, ts):
+            geodesic_point(s, u, t)
+            _residual(s, u, t, geodesic_body_velocity(s, u, t))
+        raise
     return [GeodesicSample(t=float(t), gamma=g, omega=w, residual=float(r))
             for t, g, w, r in zip(ts, gamma, omega, residual)]
 
@@ -233,7 +239,7 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
     """
     _check_grid(t_max, steps)
     s = gl_real(spec.n)
-    u = s.check_matrix(u)
+    u = s.check_member(u)
     u_norm = float(np.linalg.norm(u))
     adef = spec.algebra_defect(u)
     if adef > TANGENT_RTOL * u_norm:
@@ -241,8 +247,15 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
             f"algebra defect {adef:.3g} exceeds {TANGENT_RTOL:g} * ||u|| "
             f"= {TANGENT_RTOL * u_norm:.3g} for {spec.name}")
     ts = np.linspace(0.0, t_max, steps)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gammas = geodesic_point(s, u, ts)
+    except Overflow:
+        # point by point, so that the error, and the defects and warnings
+        # before it, come in the order of a sweep in t
+        gammas = (geodesic_point(s, u, t) for t in map(float, ts))
     max_defect, argmax_t = 0.0, 0.0
-    for t, gamma in zip(ts, geodesic_point(s, u, ts)):
+    for t, gamma in zip(ts, gammas):
         d = spec.group_defect(gamma)
         if d > max_defect:
             max_defect, argmax_t = d, float(t)

@@ -97,7 +97,7 @@ def nabla_from_metric(s: CartanStructure, u, v,
     """Connection solved from the metric identity over an orthonormal basis
     (definition route; the standard cells by default)."""
     frame = _frame_for(s, basis)
-    u, v = s.check_matrix(u), s.check_matrix(v)
+    u, v = s.check_member(u), s.check_member(v)
     x, y = _coords(frame.F, u), _coords(frame.F, v)
     mx, my = _ad(frame.C, x), _ad(frame.C, y)
     return np.tensordot(_nabla(x, y, mx, my), frame.B, 1)
@@ -108,7 +108,7 @@ def quartic_from_definition(s: CartanStructure, u, v,
     """<R(u,v)v, u> = <nabla_u nabla_v v - nabla_v nabla_u v - nabla_[u,v] v, u>
     with every nabla taken from the metric identity."""
     frame = _frame_for(s, basis)
-    u, v = s.check_matrix(u), s.check_matrix(v)
+    u, v = s.check_member(u), s.check_member(v)
     C = frame.C
     x, y = _coords(frame.F, u), _coords(frame.F, v)
     mx, my = _ad(C, x), _ad(C, y)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from liecurv import (COMPLEX, REAL, DegenerateSection, DimensionMismatch,
                      MatrixElement, NotCommuting, NotPureType, Overflow,
                      bracket, bracket_norm_identity_gap, curvature_tensor,
-                     frobenius_inner, gl_complex, gl_real, nabla, nabla_case,
-                     quartic, quartic_commuting, quartic_special,
-                     random_matrix, random_part, sectional, theta_split)
+                     gl_complex, gl_real, nabla, nabla_case, quartic,
+                     quartic_commuting, quartic_special, random_matrix,
+                     random_part, sectional, theta_split)
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -294,8 +294,7 @@ def test_forms_of_one_plane_reject_a_stack():
     # a stack would need one value per slice; these return one value
     s = gl_real(2)
     stack = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
-    for fn in (s.b_theta, frobenius_inner,
-               lambda u, v: quartic(s, u, v), lambda u, v: sectional(s, u, v),
+    for fn in (s.b_theta, lambda u, v: quartic(s, u, v), lambda u, v: sectional(s, u, v),
                lambda u, v: quartic_special(s, u, v),
                lambda u, v: nabla_case(s, u, v)):
         with pytest.raises(DimensionMismatch):

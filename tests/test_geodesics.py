@@ -310,6 +310,25 @@ def test_stacked_residual_names_the_first_time_that_is_not_finite():
         geodesic_residual(gl_real(3), 1e200 * SYM_3, [0.5, 1.0])
 
 
+def test_an_overflowing_trace_fails_where_a_sweep_in_t_does():
+    # omega(+-h) at t = 0 overflows before the stacked grid's first step:
+    # the error names h ||s2||, as a point-by-point sweep does
+    u = np.array([[0.0, 1e100], [-1e100, 0.0]])
+    with pytest.raises(Overflow, match=r"of norm 2\.83e\+95$"):
+        geodesic_trace(gl_real(2), u)
+
+
+def test_an_overflowing_sweep_fails_where_a_sweep_in_t_does():
+    # the second factor of gamma overflows at an earlier t than the first
+    u = np.array([[116.0, -8e21], [0.0, 2477.0]])
+    with pytest.raises(Overflow) as walked:
+        for t in np.linspace(0.0, 2.0, geodesics.DEFAULT_STEPS):
+            geodesic_point(gl_real(2), u, float(t))
+    with pytest.raises(Overflow) as swept:
+        totally_geodesic_check(subgroup_from_selector("ut:2"), u)
+    assert str(swept.value) == str(walked.value)
+
+
 def test_velocity_link_suite_passes_and_catches_a_corrupted_omega(monkeypatch):
     report = verify._velocity_link_suite(np.random.default_rng(42))
     assert report.name == "geodesic_velocity_link"
