@@ -8,6 +8,9 @@ built on the handful of primitives in this module.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -81,6 +84,57 @@ def frobenius_inner(u, v) -> float:
     return float(np.sum(np.conj(u) * v).real)
 
 
+# Thread-count setters of OpenBLAS, as the scipy and numpy wheels and as
+# plain builds export them; the getter has the same name with "get".
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads64_",
+                     "openblas_set_num_threads")
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS loaded in this
+    process, found in the Linux process map; empty where there is none."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                controls.append((getattr(lib, name.replace("_set_", "_get_")),
+                                 getattr(lib, name)))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+
+    scipy's expm solves its n x n Pade system with LAPACK getrs, which
+    OpenBLAS hands to its thread pool even for n = 2; the helper thread then
+    spins on a second core between calls, and every call waits for it, so
+    the time of a call depends on that core being free. One thread gives
+    bit-equal results without the spinning and the waits.
+    """
+    saved = [(get(), set_) for get, set_ in _openblas_thread_controls()]
+    for _, set_ in saved:
+        set_(1)
+    try:
+        yield
+    finally:
+        for count, set_ in saved:
+            set_(count)
+
+
 def matrix_exp(u) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a degree-13 Pade
     approximant (relative accuracy ~1e-13 for ||u|| <= 10).
@@ -91,7 +145,7 @@ def matrix_exp(u) -> np.ndarray:
     does.
     """
     u = np.asarray(u)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         out = scipy.linalg.expm(u)
     if not np.all(np.isfinite(out)):
         finite = np.isfinite(out).all(axis=(-2, -1)).ravel()

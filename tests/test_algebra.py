@@ -144,6 +144,28 @@ def test_stacked_matrix_exp_overflow_names_the_first_bad_slice():
         matrix_exp(stack.reshape(2, 2, 2, 2))
 
 
+def test_matrix_exp_runs_openblas_on_one_thread_and_restores_it(monkeypatch):
+    from liecurv import algebra
+
+    controls = algebra._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    before = [get() for get, _ in controls]
+    inside = []
+    expm = algebra.scipy.linalg.expm
+
+    def spy(u):
+        inside.append([get() for get, _ in controls])
+        return expm(u)
+
+    monkeypatch.setattr(algebra.scipy.linalg, "expm", spy)
+    matrix_exp(np.eye(3))
+    with pytest.raises(Overflow):
+        matrix_exp(2000.0 * np.eye(2))
+    assert inside == [[1] * len(controls)] * 2
+    assert [get() for get, _ in controls] == before
+
+
 def test_random_element_deterministic():
     a = random_element(9, 3)
     b = random_element(9, 3)
