@@ -13,11 +13,11 @@ from .algebra import (COMPLEX, REAL, MatrixElement, bracket, frobenius_inner,
                       random_element, random_matrix)
 from .cartan import (CartanStructure, ThetaSplit, from_selector, gl_complex,
                      gl_real, pure_class, random_part, standard_basis,
-                     theta_split, validate)
+                     theta_part, theta_split, validate)
 from .curvature import (SectionReport, bracket_norm_identity_gap,
                         curvature_tensor, nabla, nabla_case, quartic,
                         quartic_commuting, quartic_special, quartic_terms,
-                        sectional)
+                        sectional, sections)
 from .errors import (DegenerateSection, DimensionMismatch, IncompleteBasis,
                      LieCurvError, NotCommuting, NotPureType, Overflow,
                      TangentNotInAlgebra, UnknownGroup)
@@ -36,10 +36,11 @@ __all__ = [
     "matrix_exp", "matrix_from_json", "matrix_to_json", "random_element",
     "random_matrix",
     "CartanStructure", "ThetaSplit", "from_selector", "gl_complex", "gl_real",
-    "pure_class", "random_part", "standard_basis", "theta_split", "validate",
+    "pure_class", "random_part", "standard_basis", "theta_part", "theta_split",
+    "validate",
     "SectionReport", "bracket_norm_identity_gap", "curvature_tensor", "nabla",
     "nabla_case", "quartic", "quartic_commuting", "quartic_special",
-    "quartic_terms", "sectional",
+    "quartic_terms", "sectional", "sections",
     "DegenerateSection", "DimensionMismatch", "IncompleteBasis", "LieCurvError",
     "NotCommuting", "NotPureType", "Overflow", "TangentNotInAlgebra",
     "UnknownGroup",

@@ -155,13 +155,19 @@ def matrix_exp(u) -> np.ndarray:
     return out
 
 
-def random_matrix(rng: np.random.Generator, n: int, field: str = REAL) -> np.ndarray:
+def random_matrix(rng: np.random.Generator, n: int, field: str = REAL,
+                  shape: tuple[int, ...] = ()) -> np.ndarray:
     """Matrix with entries i.i.d. uniform in [-1, 1]; for the complex field the
-    real and imaginary parts are drawn independently."""
-    re = rng.uniform(-1.0, 1.0, (n, n))
+    real and imaginary parts are drawn independently.
+
+    With a leading shape, a stack of that shape whose matrices are drawn in
+    C order, each (real part, then imaginary part) in turn: the stack equals
+    that many calls without a shape, from the same generator state.
+    """
     if field == COMPLEX:
-        return re + 1j * rng.uniform(-1.0, 1.0, (n, n))
-    return re
+        x = rng.uniform(-1.0, 1.0, (*shape, 2, n, n))
+        return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    return rng.uniform(-1.0, 1.0, (*shape, n, n))
 
 
 def random_element(seed: Seed, n: int, field: str = REAL) -> np.ndarray:

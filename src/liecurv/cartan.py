@@ -63,6 +63,12 @@ class CartanStructure:
         if u.ndim != 2 or v.ndim != 2:
             raise DimensionMismatch(
                 f"b_theta takes two matrices, got shapes {u.shape} and {v.shape}")
+        return float(self.b_theta_stack(u, v))
+
+    def b_theta_stack(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """b_theta slice by slice on two stacks of matrices, unchecked: an
+        array of the stack shape (0-d for two matrices). Each value is
+        bit-equal to b_theta of its slices."""
         # 0.0 - x is -x for every x but +0.0, which it keeps unsigned
         return 0.0 - _trace_form(u, self.theta(v))
 
@@ -101,8 +107,9 @@ def gl_complex(n: int) -> CartanStructure:
     return CartanStructure(n, COMPLEX)
 
 
-def _trace_form(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.trace(u @ v).real)
+def _trace_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re tr(uv), slice by slice on stacks."""
+    return np.trace(u @ v, axis1=-2, axis2=-1).real
 
 
 def standard_basis(s: CartanStructure) -> tuple[np.ndarray, ...]:
@@ -140,8 +147,19 @@ def theta_split(s: CartanStructure, u) -> ThetaSplit:
     symmetric/skew-symmetric split.
     """
     u = s.check_member(u)
-    p = (u - s.theta(u)) / 2.0
+    p = theta_part(s, u, "p")
     return ThetaSplit(p, u - p)
+
+
+def theta_part(s: CartanStructure, u: np.ndarray, part: str) -> np.ndarray:
+    """The theta-part of u that theta_split gives: "p" or "k", or "g" for u
+    itself. Slice by slice on a stack, and unchecked: u is a plain array."""
+    if part == "g":
+        return u
+    if part not in ("p", "k"):
+        raise ValueError(f"part must be 'p', 'k' or 'g', got {part!r}")
+    p = (u - s.theta(u)) / 2.0
+    return p if part == "p" else u - p
 
 
 def pure_class(s: CartanStructure, u) -> str:
@@ -162,17 +180,11 @@ def pure_class(s: CartanStructure, u) -> str:
         f"vector mixes p and k (component norms {np_:.3g} / {nk:.3g}, allowed {allowed:.3g})")
 
 
-def random_part(s: CartanStructure, rng: np.random.Generator,
-                part: str) -> np.ndarray:
-    """One random_matrix draw of s reduced to its theta-part: "p" or "k",
-    or "g" for the whole matrix."""
-    if part not in ("p", "k", "g"):
-        raise ValueError(f"part must be 'p', 'k' or 'g', got {part!r}")
-    u = random_matrix(rng, s.n, s.field)
-    if part == "g":
-        return u
-    split = theta_split(s, u)
-    return split.p_part if part == "p" else split.k_part
+def random_part(s: CartanStructure, rng: np.random.Generator, part: str,
+                shape: tuple[int, ...] = ()) -> np.ndarray:
+    """One random_matrix draw of s, or a stack of the leading shape,
+    reduced to its theta-part: "p" or "k", or "g" for the whole matrix."""
+    return theta_part(s, random_matrix(rng, s.n, s.field, shape), part)
 
 
 # -- validator ---------------------------------------------------------------

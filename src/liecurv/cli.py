@@ -21,9 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import REAL, MatrixElement, matrix_from_json, matrix_to_json
-from .cartan import CartanStructure, from_selector, gl_real, random_part
-from .curvature import quartic_commuting, quartic_special, sectional
+from .algebra import (REAL, MatrixElement, matrix_from_json, matrix_to_json,
+                      random_matrix)
+from .cartan import CartanStructure, from_selector, gl_real, theta_part
+from .curvature import quartic_commuting, quartic_special, sectional, sections
 from .errors import (DegenerateSection, DimensionMismatch, IncompleteBasis,
                      LieCurvError, NotCommuting, NotPureType,
                      TangentNotInAlgebra, UnknownGroup)
@@ -39,6 +40,11 @@ EXIT_TANGENCY = 4
 # the sample strata, in output order, and the theta-parts of their two vectors
 STRATA = {"p_p": ("p", "p"), "k_k": ("k", "k"), "p_k": ("p", "k"),
           "general": ("g", "g")}
+# sample gives a stratum up after this many degenerate draws in a row
+MAX_DEGENERATE_DRAWS = 100
+# sample draws and evaluates at most this many pairs as one stack, which
+# bounds its memory for any --trials
+_CHUNK_ROWS = 1024
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,12 +201,9 @@ def cmd_sample(args) -> int:
     _check_strata(s)
     rng = np.random.default_rng(args.seed)
     rows = []
-    seed_index = 0
     for tag in STRATA:
-        for _ in range(trials):
-            rep = _draw_section(s, rng, tag)
-            rows.append((seed_index, tag, rep.quartic, rep.area_sq, rep.sectional))
-            seed_index += 1
+        for values in _sample_stratum(s, rng, tag, trials):
+            rows.append((len(rows), tag, *values))
     header = ("seed_index", "case_tag", "quartic", "area_sq", "sectional")
     if args.format == "csv":
         buf = io.StringIO()
@@ -228,14 +231,35 @@ def _check_strata(s: CartanStructure) -> None:
                 f"dimension {dim_p} and k has {dim_k}")
 
 
-def _draw_section(s: CartanStructure, rng: np.random.Generator, tag: str):
-    for _ in range(100):
-        u, v = (random_part(s, rng, part) for part in STRATA[tag])
-        try:
-            return sectional(s, u, v)
-        except DegenerateSection:
-            continue
-    raise DegenerateSection("100 consecutive degenerate draws; check the structure")
+def _sample_stratum(s: CartanStructure, rng: np.random.Generator, tag: str,
+                    trials: int) -> list[list[float]]:
+    """(quartic, area_sq, sectional) of the first `trials` planes of the
+    stratum that are not degenerate.
+
+    The planes are drawn pair by pair, u then v, each one random_part draw.
+    A degenerate plane is dropped and the next pair takes its place;
+    DegenerateSection after MAX_DEGENERATE_DRAWS of them in a row. The pairs
+    are drawn and evaluated by sections in chunks, each of no more pairs
+    than rows are still missing, so every pair drawn is one that the
+    pair-by-pair loop draws too, and the generator ends where it ends.
+    """
+    parts = STRATA[tag]
+    kept, run = [], 0
+    while trials:
+        pairs = random_matrix(rng, s.n, s.field, (min(trials, _CHUNK_ROWS), 2))
+        report, degenerate = sections(
+            s, *(theta_part(s, pairs[:, i], part) for i, part in enumerate(parts)))
+        for bad in degenerate.tolist():
+            run = run + 1 if bad else 0
+            if run == MAX_DEGENERATE_DRAWS:
+                raise DegenerateSection(
+                    f"stratum {tag} of {s.name}: {run} consecutive "
+                    f"degenerate draws")
+        keep = ~degenerate
+        kept += np.stack([report.quartic[keep], report.area_sq[keep],
+                          report.sectional[keep]], axis=1).tolist()
+        trials -= int(keep.sum())
+    return kept
 
 
 def cmd_geodesic(args) -> int:

@@ -13,6 +13,10 @@ products are B_theta. quartic always evaluates this general expression; the
 special-case formulas (pure-class pairs, mixed-by-pure pairs, commuting
 pairs) live in separate functions so they can be cross-checked against it
 rather than replace it.
+
+The general expression is evaluated by one kernel on (..., n, n) arrays:
+quartic_terms, quartic and sectional run it on one pair, and sections on
+two stacks of m pairs, each row bit-equal to sectional of its pair.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import bracket
-from .cartan import CartanStructure, pure_class, theta_split
-from .errors import DegenerateSection, NotCommuting, NotPureType, Overflow
+from .cartan import CartanStructure, pure_class, theta_part, theta_split
+from .errors import (DegenerateSection, DimensionMismatch, NotCommuting,
+                     NotPureType, Overflow)
 
 # A 2-plane is rejected as degenerate when its squared area falls below this
 # multiple of ||u||^2 ||v||^2.
@@ -43,7 +48,8 @@ class SectionReport:
     quartic is <R(u,v)v, u>; area_sq is <u,u><v,v> - <u,v>^2; sectional is
     their ratio. term_pp, term_mixed, term_cross are the three summands of
     the general formula and add up to quartic exactly (the implementation
-    computes quartic as their sum).
+    computes quartic as their sum). From sections, each field is an array
+    with one value per row.
     """
 
     quartic: float
@@ -85,14 +91,24 @@ def curvature_tensor(s: CartanStructure, u, v, w) -> np.ndarray:
 def quartic_terms(s: CartanStructure, u, v) -> tuple[float, float, float]:
     """The three summands of the general quartic formula, in order
     (-2||[u1,v1]||^2, 1/4||[u,v]||^2, 2<[u1,v1],[u2,v2]>)."""
-    su, sv = theta_split(s, u), theta_split(s, v)
-    b11 = bracket(su.p_part, sv.p_part)
-    b22 = bracket(su.k_part, sv.k_part)
+    return tuple(map(float, _terms(s, s.check_member(u), s.check_member(v))))
+
+
+def _terms(s: CartanStructure, u: np.ndarray, v: np.ndarray) -> tuple:
+    """quartic_terms slice by slice on (..., n, n) arrays, unchecked."""
+    pu, pv = theta_part(s, u, "p"), theta_part(s, v, "p")
+    b11 = bracket(pu, pv)
+    b22 = bracket(u - pu, v - pv)
     buv = bracket(u, v)
     # 0.0 - x is -x except that a vanishing term stays +0.0, as in b_theta
-    return (0.0 - 2.0 * s.b_theta(b11, b11),
-            0.25 * s.b_theta(buv, buv),
-            2.0 * s.b_theta(b11, b22))
+    return (0.0 - 2.0 * s.b_theta_stack(b11, b11),
+            0.25 * s.b_theta_stack(buv, buv),
+            2.0 * s.b_theta_stack(b11, b22))
+
+
+def _gram(s: CartanStructure, u: np.ndarray, v: np.ndarray) -> tuple:
+    """<u,u>, <v,v>, <u,v> slice by slice on (..., n, n) arrays, unchecked."""
+    return s.b_theta_stack(u, u), s.b_theta_stack(v, v), s.b_theta_stack(u, v)
 
 
 def quartic(s: CartanStructure, u, v) -> float:
@@ -111,13 +127,13 @@ def sectional(s: CartanStructure, u, v) -> SectionReport:
     and DegenerateSection when the squared area is at or below
     DEGENERATE_AREA_RTOL * ||u||^2 ||v||^2 (nearly dependent inputs).
     """
-    # quartic_terms checks membership. With entries below 1 in modulus nothing
-    # overflows, so only a non-finite input fails the finiteness check
-    u, eu = _unit_scale(np.asarray(u))
-    v, ev = _unit_scale(np.asarray(v))
-    t1, t2, t3 = quartic_terms(s, u, v)
+    # With entries below 1 in modulus nothing overflows, so only a
+    # non-finite input fails the finiteness check
+    u, eu = _unit_scale(s.check_member(u))
+    v, ev = _unit_scale(s.check_member(v))
+    t1, t2, t3 = map(float, _terms(s, u, v))
     q = t1 + t2 + t3
-    uu, vv, uv = s.b_theta(u, u), s.b_theta(v, v), s.b_theta(u, v)
+    uu, vv, uv = map(float, _gram(s, u, v))
     area_sq = uu * vv - uv * uv
     if not all(map(math.isfinite, (t1, t2, t3, q, area_sq))):
         raise Overflow(_NOT_FINITE)
@@ -136,6 +152,45 @@ def sectional(s: CartanStructure, u, v) -> SectionReport:
         raise Overflow(_NOT_FINITE) from None
 
 
+def sections(s: CartanStructure, u, v) -> tuple[SectionReport, np.ndarray]:
+    """sectional row by row on two (m, n, n) stacks of matrices.
+
+    Returns a SectionReport whose fields are length-m arrays, and a boolean
+    mask of the degenerate rows. Where sectional(s, u[i], v[i]) returns,
+    row i holds its six values bit for bit; where it raises
+    DegenerateSection, row i is masked and its values mean nothing. Raises
+    Overflow for a row on which sectional does, so for any non-finite row,
+    and DimensionMismatch unless u and v are stacks of one shape over s.
+    """
+    u, v = s.check_member(u, stack=True), s.check_member(v, stack=True)
+    if u.ndim != 3 or u.shape != v.shape:
+        raise DimensionMismatch(
+            f"sections takes two (m, n, n) stacks of one shape, got shapes "
+            f"{u.shape} and {v.shape}")
+    u, eu = _unit_scale_rows(u)
+    v, ev = _unit_scale_rows(v)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t1, t2, t3 = _terms(s, u, v)
+        q = t1 + t2 + t3
+        uu, vv, uv = _gram(s, u, v)
+        area_sq = uu * vv - uv * uv
+        degenerate = area_sq <= DEGENERATE_AREA_RTOL * uu * vv
+        k = 2 * (eu + ev)
+        report = SectionReport(
+            quartic=np.ldexp(q, k), area_sq=np.ldexp(area_sq, k),
+            sectional=q / area_sq, term_pp=np.ldexp(t1, k),
+            term_mixed=np.ldexp(t2, k), term_cross=np.ldexp(t3, k))
+    # sectional checks the unscaled values first, and the scaled ones only
+    # of a plane that is not degenerate
+    ok = np.isfinite([t1, t2, t3, q, area_sq]).all(axis=0)
+    ok &= degenerate | np.isfinite(
+        [report.quartic, report.area_sq, report.term_pp, report.term_mixed,
+         report.term_cross]).all(axis=0)
+    if not ok.all():
+        raise Overflow(f"row {np.argmin(ok)}: {_NOT_FINITE}")
+    return report, degenerate
+
+
 def _unit_scale(u: np.ndarray) -> tuple[np.ndarray, int]:
     """(u / 2^e, e) with the largest entry modulus of u / 2^e in [1/2, 1);
     e = 0 for an empty or zero u, and e >= -1021 so 2^-e stays finite.
@@ -144,6 +199,14 @@ def _unit_scale(u: np.ndarray) -> tuple[np.ndarray, int]:
     _, e = math.frexp(max(map(abs, u.ravel().tolist()), default=0.0))
     e = max(e, -1021)
     return (u, e) if e == 0 else (u * math.ldexp(1.0, -e), e)
+
+
+def _unit_scale_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_unit_scale of each matrix of an (m, n, n) stack: the scaled stack
+    and the m exponents."""
+    _, e = np.frexp(np.abs(u).max(axis=(-2, -1)))
+    e = np.maximum(e, -1021)
+    return u * np.ldexp(1.0, -e)[:, None, None], e
 
 
 def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:

@@ -228,6 +228,16 @@ def test_json_round_trip_complex():
     assert np.array_equal(again.data, u)
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_random_matrix_stack_draws_as_its_matrices_one_by_one(field):
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    stack = random_matrix(a, 3, field, (4, 2))
+    assert stack.shape == (4, 2, 3, 3)
+    one_by_one = [random_matrix(b, 3, field) for _ in range(8)]
+    assert np.array_equal(stack.reshape(8, 3, 3), one_by_one)
+    assert a.random() == b.random()
+
+
 def test_json_accepts_bare_rows():
     u = matrix_from_json([[1.0, 2.0], [3.0, 4.0]])
     assert u.field == REAL

@@ -6,7 +6,8 @@ import pytest
 from liecurv import (COMPLEX, REAL, CartanStructure, DimensionMismatch,
                      MatrixElement, NotPureType, bracket, frobenius_inner,
                      from_selector, gl_complex, gl_real, pure_class,
-                     random_matrix, theta_split, validate)
+                     random_matrix, random_part, theta_part, theta_split,
+                     validate)
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -198,3 +199,19 @@ def test_from_selector():
 def test_structure_norm():
     s = gl_real(2)
     assert s.norm(np.eye(2)) == pytest.approx(math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("s", [gl_real(3), gl_complex(2)])
+@pytest.mark.parametrize("part", ["p", "k", "g"])
+def test_random_part_stack_draws_as_its_parts_one_by_one(s, part):
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    stack = random_part(s, a, part, (5,))
+    one_by_one = [random_part(s, b, part) for _ in range(5)]
+    assert np.array_equal(stack, one_by_one)
+    assert a.random() == b.random()
+    for u in random_matrix(a, s.n, s.field, (3,)):
+        split = theta_split(s, u)
+        assert np.array_equal(theta_part(s, u, "p"), split.p_part)
+        assert np.array_equal(theta_part(s, u, "k"), split.k_part)
+    with pytest.raises(ValueError):
+        theta_part(s, u, "q")

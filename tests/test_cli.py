@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liecurv import (DegenerateSection, cli, curvature, from_selector,
+                     random_part, sectional)
 from liecurv.cli import main
 
 SQ7 = math.sqrt(7.0)
@@ -270,6 +272,86 @@ def test_sample_stratum_without_a_plane_exit_3(capsys, structure, stratum):
     assert code == 3
     assert out == ""
     assert f"stratum {stratum} of {structure}" in err
+
+
+SAMPLE_HEADER = ("seed_index", "case_tag", "quartic", "area_sq", "sectional")
+
+
+def _sample_csv(rows):
+    """What `liecurv sample` prints for these rows as CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SAMPLE_HEADER)
+    writer.writerows(rows)
+    return buf.getvalue() + "\n"
+
+
+def _reference_sample(structure, seed, trials):
+    """The rows `liecurv sample` writes, made pair by pair with the one-pair
+    sectional: each stratum draws u then v with random_part and draws again
+    in place of a degenerate plane. Also returns the number of redraws."""
+    s = from_selector(structure)
+    rng = np.random.default_rng(seed)
+    rows, redraws = [], 0
+    for tag, parts in (("p_p", "pp"), ("k_k", "kk"), ("p_k", "pk"),
+                       ("general", "gg")):
+        for _ in range(trials):
+            while True:
+                u, v = (random_part(s, rng, part) for part in parts)
+                try:
+                    rep = sectional(s, u, v)
+                    break
+                except DegenerateSection:
+                    redraws += 1
+            rows.append((len(rows), tag, rep.quartic, rep.area_sq, rep.sectional))
+    return rows, redraws
+
+
+@pytest.mark.parametrize("condition", ["plain", "redraws", "small_chunks"])
+@pytest.mark.parametrize("structure", ["gl:real:3", "gl:real:6",
+                                       "gl:complex:2", "gl:complex:4"])
+def test_sample_matches_the_pair_by_pair_loop(capsys, monkeypatch, structure,
+                                              condition):
+    # redraws: at 0.6 a share of the draws is degenerate and is redrawn;
+    # small_chunks: chunk boundaries fall inside each stratum of 100 rows
+    if condition == "redraws":
+        monkeypatch.setattr(curvature, "DEGENERATE_AREA_RTOL", 0.6)
+    if condition == "small_chunks":
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    rows, redraws = _reference_sample(structure, 19, 100)
+    if condition != "redraws":
+        assert redraws == 0
+    elif structure in ("gl:real:3", "gl:complex:2"):
+        # thin planes are common in the small algebras, rare in the large
+        assert redraws > 0
+    expected_json = json.dumps(
+        {"structure": structure, "seed": 19, "rows_per_case": 100,
+         "rows": [dict(zip(SAMPLE_HEADER, r)) for r in rows]}, indent=2) + "\n"
+    argv = ("sample", "--structure", structure, "--seed", "19")
+    assert run(capsys, *argv) == (0, _sample_csv(rows), "")
+    assert run(capsys, *argv, "--format", "json") == (0, expected_json, "")
+
+
+def test_sample_gives_up_only_on_consecutive_degenerate_draws(capsys,
+                                                              monkeypatch):
+    # at 0.9 the k_k stratum of gl:real:3 redraws far more than 100 planes,
+    # but never 100 in a row
+    monkeypatch.setattr(curvature, "DEGENERATE_AREA_RTOL", 0.9)
+    rows, redraws = _reference_sample("gl:real:3", 19, 100)
+    assert redraws > 300
+    assert run(capsys, "sample", "--structure", "gl:real:3", "--seed", "19") \
+        == (0, _sample_csv(rows), "")
+
+
+@pytest.mark.parametrize("chunk", [1024, 7])
+def test_sample_names_the_stratum_it_gives_up(capsys, monkeypatch, chunk):
+    # at 1.0 every draw is degenerate: <u,v>^2 <= <u,u><v,v>
+    monkeypatch.setattr(curvature, "DEGENERATE_AREA_RTOL", 1.0)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    code, out, err = run(capsys, "sample", "--structure", "gl:real:3")
+    assert (code, out) == (3, "")
+    assert err == ("error: stratum p_p of gl:real:3: 100 consecutive "
+                   "degenerate draws\n")
 
 
 def test_geodesic_skew_tangent_orthogonal(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecurv import (COMPLEX, REAL, DegenerateSection, DimensionMismatch,
-                     MatrixElement, NotCommuting, NotPureType, Overflow,
-                     bracket, bracket_norm_identity_gap, curvature_tensor,
-                     gl_complex, gl_real, nabla, nabla_case, quartic,
-                     quartic_commuting, quartic_special, random_matrix,
-                     random_part, sectional, theta_split)
+from liecurv import (COMPLEX, REAL, CartanStructure, DegenerateSection,
+                     DimensionMismatch, MatrixElement, NotCommuting,
+                     NotPureType, Overflow, SectionReport, bracket,
+                     bracket_norm_identity_gap, curvature_tensor, gl_complex,
+                     gl_real, nabla, nabla_case, quartic, quartic_commuting,
+                     quartic_special, random_matrix, random_part, sectional,
+                     sections, theta_split)
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -301,6 +303,88 @@ def test_forms_of_one_plane_reject_a_stack():
             fn(stack, stack)
         with pytest.raises(DimensionMismatch):
             fn(stack[:1], stack[:1])
+
+
+SECTION_FIELDS = [f.name for f in dataclasses.fields(SectionReport)]
+
+
+# One row: the power-of-two exponents of u and v, and its kind: "free" for
+# two independent draws; "zero" for u = 0; "subnormal" for u at 2^-1060,
+# below the floor of the rescaling; or a number eps for v = u + eps * w,
+# which is dependent at eps 0 and straddles the degeneracy threshold near
+# eps 1e-6
+ROWS = st.tuples(st.integers(-400, 200), st.integers(-400, 200),
+                 st.sampled_from(["free", "zero", "subnormal",
+                                  0.0, 1e-7, 1e-6, 1e-5]))
+
+
+@settings(database=None, derandomize=True, max_examples=80)
+@given(st.integers(1, 9), st.sampled_from([REAL, COMPLEX]),
+       st.integers(0, 2**32 - 1), st.lists(ROWS, min_size=1, max_size=10))
+def test_sections_rows_are_bit_equal_to_sectional(n, field, seed, rows):
+    # n = 9 crosses numpy's 8-element summation block, and the scales of one
+    # stack differ row by row
+    s = CartanStructure(n, field)
+    rng = np.random.default_rng(seed)
+    u = random_matrix(rng, n, field, (len(rows),))
+    v = random_matrix(rng, n, field, (len(rows),))
+    for i, (k, j, kind) in enumerate(rows):
+        if kind == "zero":
+            u[i] = 0.0
+        elif kind == "subnormal":
+            k = -1060
+        elif kind != "free":
+            v[i] = u[i] + kind * v[i]
+        u[i] *= math.ldexp(1.0, k)
+        v[i] *= math.ldexp(1.0, j)
+    report, degenerate = sections(s, u, v)
+    assert degenerate.shape == (len(rows),)
+    for i in range(len(rows)):
+        try:
+            want = sectional(s, u[i], v[i])
+        except DegenerateSection:
+            assert degenerate[i]
+            continue
+        assert not degenerate[i]
+        assert ([float(getattr(report, f)[i]).hex() for f in SECTION_FIELDS]
+                == [getattr(want, f).hex() for f in SECTION_FIELDS])
+
+
+def test_sections_raises_overflow_where_sectional_does():
+    s = gl_real(3)
+    rng = np.random.default_rng(11)
+    u, v = random_matrix(rng, 3, REAL, (3,)), random_matrix(rng, 3, REAL, (3,))
+    bad = u.copy()
+    bad[2, 0, 1] = np.nan
+    with pytest.raises(Overflow, match="^row 2: "):
+        sections(s, bad, v)
+    # at 2^1000 an independent plane's quartic overflows once scaled back,
+    # while a dependent plane is degenerate at any scale
+    u *= 2.0 ** 1000
+    v[0] = u[0]
+    with pytest.raises(DegenerateSection):
+        sectional(s, u[0], v[0])
+    with pytest.raises(Overflow):
+        sectional(s, u[1], v[1])
+    with pytest.raises(Overflow, match="^row 1: "):
+        sections(s, u, v)
+    assert sections(s, u[:1], v[:1])[1].tolist() == [True]
+
+
+def test_sections_takes_two_stacks_of_one_shape():
+    s = gl_real(2)
+    stack = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
+    report, degenerate = sections(s, stack, stack[::-1])
+    assert report.quartic.shape == degenerate.shape == (2,)
+    for u, v in ((stack, stack[:1]), (stack[0], stack[1]),
+                 (stack[None], stack[None]), (stack, stack.astype(complex))):
+        with pytest.raises(DimensionMismatch):
+            sections(s, u, v)
+    # the forms of one plane still refuse the stack sections takes
+    for fn in (s.b_theta, lambda u, v: quartic(s, u, v),
+               lambda u, v: sectional(s, u, v)):
+        with pytest.raises(DimensionMismatch):
+            fn(stack, stack[::-1])
 
 
 def test_a_zero_vector_spans_no_plane_and_no_negative_zero():

@@ -140,9 +140,10 @@ def test_geodesic_trace_grid():
 
 
 def test_geodesic_trace_reuses_its_body_velocity(monkeypatch):
-    # 8 stacked matrix_exp calls over the grid: two each for gamma and omega,
-    # and two each for omega(t + h) and omega(t - h) in the residual; in all
-    # they exponentiate 8 matrices per grid point
+    # 7 stacked matrix_exp calls over the grid: exp(t s2), which gamma and
+    # omega share, one more factor each for gamma and omega, and two each
+    # for omega(t + h) and omega(t - h) in the residual; in all they
+    # exponentiate 7 matrices per grid point
     s = gl_real(3)
     u = random_matrix(np.random.default_rng(43), 3)
     calls = []
@@ -151,8 +152,8 @@ def test_geodesic_trace_reuses_its_body_velocity(monkeypatch):
                         lambda a: calls.append(np.shape(a)) or exp(a))
     samples = geodesic_trace(s, u, steps=64)
     monkeypatch.undo()
-    assert calls == [(64, 3, 3)] * 8
-    assert sum(np.prod(shape[:-2]) for shape in calls) <= 512
+    assert calls == [(64, 3, 3)] * 7
+    assert sum(np.prod(shape[:-2]) for shape in calls) <= 448
     for x in samples:
         assert np.array_equal(x.omega, geodesic_body_velocity(s, u, x.t))
         assert x.residual == geodesic_residual(s, u, x.t)
