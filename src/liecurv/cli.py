@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import curvature
 from .algebra import (REAL, MatrixElement, matrix_from_json, matrix_to_json,
                       random_matrix)
 from .cartan import CartanStructure, from_selector, gl_real, theta_part
@@ -42,9 +43,6 @@ STRATA = {"p_p": ("p", "p"), "k_k": ("k", "k"), "p_k": ("p", "k"),
           "general": ("g", "g")}
 # sample gives a stratum up after this many degenerate draws in a row
 MAX_DEGENERATE_DRAWS = 100
-# sample draws and evaluates at most this many pairs as one stack, which
-# bounds its memory for any --trials
-_CHUNK_ROWS = 1024
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +244,8 @@ def _sample_stratum(s: CartanStructure, rng: np.random.Generator, tag: str,
     parts = STRATA[tag]
     kept, run = [], 0
     while trials:
-        pairs = random_matrix(rng, s.n, s.field, (min(trials, _CHUNK_ROWS), 2))
+        rows = min(trials, curvature._CHUNK_ROWS)
+        pairs = random_matrix(rng, s.n, s.field, (rows, 2))
         report, degenerate = sections(
             s, *(theta_part(s, pairs[:, i], part) for i, part in enumerate(parts)))
         for bad in degenerate.tolist():

@@ -38,6 +38,10 @@ DEGENERATE_AREA_RTOL = 1e-12
 # quartic_commuting: relative tolerance on the commutator norm
 COMMUTING_RTOL = 1e-10
 
+# sample and the sampled suites of verify draw and pass to sections at most
+# this many rows at a time, which bounds their memory for any --trials
+_CHUNK_ROWS = 1024
+
 _NOT_FINITE = "the quartic or the squared area of the plane is not finite"
 
 
@@ -158,9 +162,15 @@ def sections(s: CartanStructure, u, v) -> tuple[SectionReport, np.ndarray]:
     Returns a SectionReport whose fields are length-m arrays, and a boolean
     mask of the degenerate rows. Where sectional(s, u[i], v[i]) returns,
     row i holds its six values bit for bit; where it raises
-    DegenerateSection, row i is masked and its values mean nothing. Raises
-    Overflow for a row on which sectional does, so for any non-finite row,
-    and DimensionMismatch unless u and v are stacks of one shape over s.
+    DegenerateSection, row i is masked. On every row, masked or not,
+    quartic, area_sq and the three terms are exact: quartic_terms and the
+    Gram entries of u[i] and v[i] rescaled as sectional rescales them,
+    scaled back (so quartic is bit-equal to quartic(s, u[i], v[i]) where
+    no intermediate leaves the normal range, and may be inf on a masked
+    row, which is not checked for overflow). Only sectional means nothing
+    on a masked row. Raises Overflow for a row on which sectional does, so
+    for any non-finite row, and DimensionMismatch unless u and v are stacks
+    of one shape over s.
     """
     u, v = s.check_member(u, stack=True), s.check_member(v, stack=True)
     if u.ndim != 3 or u.shape != v.shape:

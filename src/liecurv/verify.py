@@ -14,7 +14,9 @@ flatness of commuting pairs, the subgroup sweeps, the velocity link on
 gl:real:3 and gl:complex:2) always run on their fixed structures; the
 generic suites run on the structure passed in (default gl:real:3, plus a
 multi-size sweep for the oracle and Riemann suites when no structure is
-forced).
+forced). Sampled suites draw stacks of at most 1024 rows
+(curvature._CHUNK_ROWS) in pair-by-pair order and take closed-form quartics
+from sections; their references stay one call per pair.
 """
 
 from __future__ import annotations
@@ -24,16 +26,18 @@ import os
 import platform
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 import numpy as np
 import scipy
 
+from . import curvature
 from .algebra import bracket, random_matrix
-from .cartan import (CartanStructure, gl_complex, gl_real, random_part,
-                     standard_basis, validate)
+from .cartan import (CartanStructure, gl_complex, gl_real, standard_basis,
+                     theta_part, validate)
 from .curvature import (bracket_norm_identity_gap, quartic, quartic_commuting,
-                        quartic_special)
+                        quartic_special, sections)
 from .geodesics import (FD_STEP, geodesic_body_velocity, geodesic_point,
                         geodesic_residual, subgroup_from_selector,
                         totally_geodesic_check)
@@ -134,10 +138,10 @@ def _environment() -> dict:
             "cpu_count": os.cpu_count()}
 
 
-def rel_gap(a: float, b: float) -> float:
-    """|a - b| scaled by the larger magnitude, floored at 1 so values that are
-    both tiny compare absolutely instead of blowing up the ratio."""
-    return abs(a - b) / (max(abs(a), abs(b)) + 1.0)
+def rel_gap(a, b):
+    """|a - b| over the larger magnitude floored at 1 (so tiny values compare
+    absolutely instead of blowing up the ratio), elementwise on arrays."""
+    return np.abs(np.subtract(a, b)) / (np.maximum(np.abs(a), np.abs(b)) + 1.0)
 
 
 def _suite(name: str, metric: float, bound: float, kind: str = "absolute",
@@ -204,12 +208,11 @@ def _timed(make, *args) -> list[SuiteResult]:
 def _axioms_suite(structure: Optional[CartanStructure], seed: int,
                   trials: int) -> SuiteResult:
     targets = [structure] if structure is not None else [gl_real(3), gl_complex(2)]
-    worst = 0.0
     detail = {}
     for s in targets:
         ratio = max(validate(s, max(2, min(trials, 100)), seed).values())
         detail[s.name] = {"passed": bool(ratio <= 1.0), "max_error_ratio": ratio}
-        worst = max(worst, ratio)
+    worst = max(d["max_error_ratio"] for d in detail.values())
     return _suite("structure_axioms", worst, 1.0, "ratio", detail)
 
 
@@ -238,52 +241,61 @@ def _example_3x3_suite() -> SuiteResult:
                           "commuting_value": qc})
 
 
+def _draws(s: CartanStructure, rng: np.random.Generator, count: int,
+           parts: str) -> Iterator[list[np.ndarray]]:
+    """count rows of random_part draws of s, a part per letter of parts,
+    drawn row by row: per chunk, one (rows, n, n) stack per letter."""
+    step = curvature._CHUNK_ROWS
+    for i in range(0, count, step):
+        x = random_matrix(rng, s.n, s.field, (min(step, count - i), len(parts)))
+        yield [theta_part(s, x[:, j], part) for j, part in enumerate(parts)]
+
+
+def _commuting_pairs(first_seed: int, count: int, n: int,
+                     **kwargs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """commuting_pair(first_seed + i, n, **kwargs), i < count, in stacks."""
+    step, end = curvature._CHUNK_ROWS, first_seed + count
+    for i in range(first_seed, end, step):
+        seeds = range(i, min(i + step, end))
+        u, v = zip(*(commuting_pair(seed, n, **kwargs) for seed in seeds))
+        yield np.stack(u), np.stack(v)
+
+
 def _oracle_suite(plan: tuple[CartanStructure, ...], rng: np.random.Generator,
                   trials: int) -> SuiteResult:
-    worst = 0.0
     detail = {}
     for s in plan:
-        local = 0.0
-        for _ in range(trials):
-            u, v = random_part(s, rng, "g"), random_part(s, rng, "g")
-            local = max(local, rel_gap(quartic(s, u, v),
-                                       quartic_from_definition(s, u, v)))
-        detail[s.name] = {"sections": trials, "max_rel_gap": local}
-        worst = max(worst, local)
+        local = max(
+            rel_gap(sections(s, u, v)[0].quartic,
+                    [quartic_from_definition(s, *uv) for uv in zip(u, v)]).max()
+            for u, v in _draws(s, rng, trials, "gg"))
+        detail[s.name] = {"sections": trials, "max_rel_gap": float(local)}
+    worst = max(d["max_rel_gap"] for d in detail.values())
     return _suite("oracle_agreement", worst, ORACLE_BOUND, detail=detail)
 
 
 def _sign_suites(s: CartanStructure, rng: np.random.Generator,
                  trials: int) -> list[SuiteResult]:
-    worst_pp = worst_kk = worst_pk = worst_gk = -np.inf
-    worst_gp = 0.0
-    for _ in range(trials):
-        p1, p2 = random_part(s, rng, "p"), random_part(s, rng, "p")
-        k1, k2 = random_part(s, rng, "k"), random_part(s, rng, "k")
-        g1, g2 = random_part(s, rng, "g"), random_part(s, rng, "g")
-        worst_pp = max(worst_pp, quartic(s, p1, p2))        # must stay <= 0
-        worst_kk = max(worst_kk, -quartic(s, k1, k2))       # must stay >= 0
-        worst_pk = max(worst_pk, -quartic(s, p1, k2))
-        worst_gk = max(worst_gk, -quartic(s, g1, k1))
-        worst_gp = max(worst_gp,
-                       rel_gap(quartic(s, g2, p2), quartic_special(s, g2, p2)[0]))
-    return [
-        _suite("sign_pp", worst_pp, SIGN_BOUND, detail={"samples": trials}),
-        _suite("sign_kk", worst_kk, SIGN_BOUND, detail={"samples": trials}),
-        _suite("sign_pk", worst_pk, SIGN_BOUND, detail={"samples": trials}),
-        _suite("sign_gk", worst_gk, SIGN_BOUND, detail={"samples": trials}),
-        _suite("match_gp", worst_gp, MIXED_MATCH_BOUND,
-               detail={"samples": trials}),
-    ]
+    chunks = [
+        [sections(s, p1, p2)[0].quartic.max(),        # must stay <= 0
+         (-sections(s, k1, k2)[0].quartic).max(),     # must stay >= 0
+         (-sections(s, p1, k2)[0].quartic).max(),
+         (-sections(s, g1, k1)[0].quartic).max(),
+         rel_gap(sections(s, g2, p2)[0].quartic,
+                 [quartic_special(s, *gp)[0] for gp in zip(g2, p2)]).max()]
+        for p1, p2, k1, k2, g1, g2 in _draws(s, rng, trials, "ppkkgg")]
+    names = ("sign_pp", "sign_kk", "sign_pk", "sign_gk", "match_gp")
+    return [_suite(name, worst, SIGN_BOUND if name != "match_gp" else
+                   MIXED_MATCH_BOUND, detail={"samples": trials})
+            for name, worst in zip(names, np.max(chunks, axis=0))]
 
 
 def _bracket_claim_suite(s: CartanStructure, rng: np.random.Generator,
                          trials: int) -> SuiteResult:
-    worst = 0.0
-    for _ in range(trials):
-        u, v = random_part(s, rng, "g"), random_part(s, rng, "g")
-        scale = s.b_theta(u, u) * s.b_theta(v, v) + 1.0
-        worst = max(worst, abs(bracket_norm_identity_gap(s, u, v)) / scale)
+    worst = max(
+        (np.abs([bracket_norm_identity_gap(s, *uv) for uv in zip(u, v)])
+         / (s.b_theta_stack(u, u) * s.b_theta_stack(v, v) + 1.0)).max()
+        for u, v in _draws(s, rng, trials, "gg"))
     return _suite("bracket_norm_claim", worst, BRACKET_CLAIM_BOUND,
                   detail={"samples": trials})
 
@@ -291,21 +303,18 @@ def _bracket_claim_suite(s: CartanStructure, rng: np.random.Generator,
 def _commuting_suite(s: CartanStructure, seed: int, trials: int) -> SuiteResult:
     # a 1x1 algebra has no interesting commuting pairs; use n = 2, same field
     target = s if s.n >= 2 else replace(s, n=2)
-    worst = 0.0
-    for i in range(trials):
-        u, v = commuting_pair(seed + i, target.n, field=target.field)
-        worst = max(worst, rel_gap(quartic(target, u, v),
-                                   quartic_commuting(target, u, v)))
+    worst = max(
+        rel_gap(sections(target, u, v)[0].quartic,
+                [quartic_commuting(target, *uv) for uv in zip(u, v)]).max()
+        for u, v in _commuting_pairs(seed, trials, target.n, field=target.field))
     return _suite("commuting_theorem", worst, SIGN_BOUND,
                   detail={"pairs": trials, "n": target.n})
 
 
 def _flat_2x2_suite(seed: int, trials: int) -> SuiteResult:
     s = gl_real(2)
-    worst = 0.0
-    for i in range(trials):
-        u, v = commuting_pair(seed + 10_000 + i, 2)
-        worst = max(worst, abs(quartic(s, u, v)))
+    worst = max(np.abs(sections(s, u, v)[0].quartic).max()
+                for u, v in _commuting_pairs(seed + 10_000, trials, 2))
     return _suite("commuting_2x2_flat", worst, SIGN_BOUND,
                   detail={"pairs": trials})
 
@@ -313,36 +322,32 @@ def _flat_2x2_suite(seed: int, trials: int) -> SuiteResult:
 def _symmetric_iff_suite(rng: np.random.Generator, seed: int) -> SuiteResult:
     s = gl_real(3)
     violations = 0
-    for i in range(IFF_RANDOM_PAIRS + IFF_COMMUTING_PAIRS):
-        if i < IFF_RANDOM_PAIRS:
-            u, v = random_part(s, rng, "p"), random_part(s, rng, "p")
-        else:
-            u, v = commuting_pair(seed + 20_000 + i, 3, symmetric=True)
-        bracket_zero = np.linalg.norm(bracket(u, v)) <= 1e-10
-        scale = s.b_theta(u, u) * s.b_theta(v, v) + 1.0
-        quartic_zero = abs(quartic(s, u, v)) <= 1e-12 * scale
-        if bracket_zero != quartic_zero:
-            violations += 1
+    for u, v in chain(_draws(s, rng, IFF_RANDOM_PAIRS, "pp"),
+                      _commuting_pairs(seed + 20_000 + IFF_RANDOM_PAIRS,
+                                       IFF_COMMUTING_PAIRS, 3, symmetric=True)):
+        bracket_zero = np.linalg.norm(bracket(u, v), axis=(-2, -1)) <= 1e-10
+        scale = s.b_theta_stack(u, u) * s.b_theta_stack(v, v) + 1.0
+        quartic_zero = np.abs(sections(s, u, v)[0].quartic) <= 1e-12 * scale
+        violations += int((bracket_zero != quartic_zero).sum())
     return _suite("symmetric_iff", float(violations), 0.0, "count",
                   detail={"random_pairs": IFF_RANDOM_PAIRS,
                           "commuting_pairs": IFF_COMMUTING_PAIRS})
 
 
 def _geodesic_suite(s: CartanStructure, rng: np.random.Generator) -> SuiteResult:
-    worst = 0.0
-    for _ in range(GEODESIC_SAMPLES):
-        u = _tangent(s, rng)
-        worst = max(worst, float(geodesic_residual(s, u, GEODESIC_GRID).max()))
+    worst = max(float(geodesic_residual(s, u, GEODESIC_GRID).max())
+                for u in _tangents(s, rng, GEODESIC_SAMPLES))
     return _suite("geodesic_residual", worst, GEODESIC_BOUND,
                   detail={"samples": GEODESIC_SAMPLES,
                           "t_grid": GEODESIC_GRID.tolist(), "h": FD_STEP})
 
 
-def _tangent(s: CartanStructure, rng: np.random.Generator) -> np.ndarray:
-    """A random_part draw of s scaled down to norm 2 when it is longer."""
-    u = random_part(s, rng, "g")
-    u_norm = np.linalg.norm(u)
-    return (2.0 / u_norm) * u if u_norm > 2.0 else u
+def _tangents(s: CartanStructure, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random_matrix draws of s, each scaled down to norm 2 if longer."""
+    u = random_matrix(rng, s.n, s.field, (count,))
+    # one norm per matrix: the norm of a stack sums in another order
+    norms = np.array([np.linalg.norm(x) for x in u])[:, None, None]
+    return np.where(norms > 2.0, (2.0 / norms) * u, u)
 
 
 def _subgroup_suites(rng: np.random.Generator) -> list[SuiteResult]:
@@ -352,13 +357,11 @@ def _subgroup_suites(rng: np.random.Generator) -> list[SuiteResult]:
                                  ("subgroup_o12", "opq:1,2")):
         spec = subgroup_from_selector(selector)
         worst = 0.0
-        for _ in range(SUBGROUP_TANGENTS):
-            u = spec.project(random_matrix(rng, spec.n))
+        for x in random_matrix(rng, spec.n, shape=(SUBGROUP_TANGENTS,)):
+            u = spec.project(x)
             u_norm = np.linalg.norm(u)
-            if u_norm > 0:
-                u = u / u_norm
-            report = totally_geodesic_check(spec, u, t_max=2.0)
-            worst = max(worst, report.max_defect)
+            u = u / u_norm if u_norm > 0 else u
+            worst = max(worst, totally_geodesic_check(spec, u, t_max=2.0).max_defect)
         out.append(_suite(suite_name, worst, SUBGROUP_BOUND,
                           detail={"tangents": SUBGROUP_TANGENTS, "t_max": 2.0}))
     control = subgroup_from_selector("ut:3")
@@ -399,10 +402,8 @@ def _riemann_suite(plan: tuple[CartanStructure, ...],
             return max(float(np.abs(term(i)).max()) for i in range(d)) / scale
 
         quartic_gap = 0.0
-        for _ in range(RIEMANN_SECTIONS):
-            u, v = random_part(s, rng, "g"), random_part(s, rng, "g")
-            x = np.array([s.b_theta(u, e) for e in basis])
-            y = np.array([s.b_theta(v, e) for e in basis])
+        for u, v in random_matrix(rng, s.n, s.field, (RIEMANN_SECTIONS, 2)):
+            x, y = (np.array([s.b_theta(w, e) for e in basis]) for w in (u, v))
             contracted = np.einsum("ijkl,i,j,k,l->", R, x, y, y, x)
             quartic_gap = max(quartic_gap, abs(
                 contracted - quartic_from_definition(s, u, v))
@@ -422,12 +423,10 @@ def _velocity_link_suite(rng: np.random.Generator) -> SuiteResult:
     """gamma(t)^-1 (gamma(t + h) - gamma(t - h)) / 2h against the closed-form
     omega(t), h = FD_STEP: ties the body velocity to the curve it claims to
     differentiate, which the residual suite takes on trust."""
-    worst = 0.0
     detail = {}
     for s in (gl_real(3), gl_complex(2)):
         local = 0.0
-        for _ in range(LINK_TANGENTS):
-            u = _tangent(s, rng)
+        for u in _tangents(s, rng, LINK_TANGENTS):
             gamma = geodesic_point(s, u, GEODESIC_GRID)
             fd = (geodesic_point(s, u, GEODESIC_GRID + FD_STEP)
                   - geodesic_point(s, u, GEODESIC_GRID - FD_STEP)) / (2.0 * FD_STEP)
@@ -435,6 +434,6 @@ def _velocity_link_suite(rng: np.random.Generator) -> SuiteResult:
                    - geodesic_body_velocity(s, u, GEODESIC_GRID))
             local = max(local, float(np.linalg.norm(gap, axis=(-2, -1)).max()))
         detail[s.name] = {"tangents": LINK_TANGENTS, "max_gap": local}
-        worst = max(worst, local)
+    worst = max(d["max_gap"] for d in detail.values())
     detail.update(t_grid=GEODESIC_GRID.tolist(), h=FD_STEP)
     return _suite("geodesic_velocity_link", worst, GEODESIC_BOUND, detail=detail)

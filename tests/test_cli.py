@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liecurv import (DegenerateSection, cli, curvature, from_selector,
-                     random_part, sectional)
+from liecurv import (DegenerateSection, DimensionMismatch, IncompleteBasis,
+                     LieCurvError, NotCommuting, NotPureType, Overflow,
+                     TangentNotInAlgebra, UnknownGroup, cli, curvature,
+                     from_selector, random_part, sectional)
 from liecurv.cli import main
 
 SQ7 = math.sqrt(7.0)
@@ -144,6 +146,21 @@ def test_missing_file_exit_2(capsys):
 def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# the table of exit codes in the README
+@pytest.mark.parametrize("error, code", [
+    (DegenerateSection, 3), (TangentNotInAlgebra, 4),
+    (ValueError, 2), (OSError, 2), (UnknownGroup, 2), (DimensionMismatch, 2),
+    (NotPureType, 2), (IncompleteBasis, 2),
+    (Overflow, 1), (NotCommuting, 1), (LieCurvError, 1)])
+def test_each_error_type_has_its_exit_code(capsys, monkeypatch, error, code):
+    def failing(args):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "cmd_section", failing)
+    assert run(capsys, "section", "--u", "[[1]]", "--v", "[[1]]") \
+        == (code, "", "error: the message\n")
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -317,7 +334,7 @@ def test_sample_matches_the_pair_by_pair_loop(capsys, monkeypatch, structure,
     if condition == "redraws":
         monkeypatch.setattr(curvature, "DEGENERATE_AREA_RTOL", 0.6)
     if condition == "small_chunks":
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(curvature, "_CHUNK_ROWS", 7)
     rows, redraws = _reference_sample(structure, 19, 100)
     if condition != "redraws":
         assert redraws == 0
@@ -347,7 +364,7 @@ def test_sample_gives_up_only_on_consecutive_degenerate_draws(capsys,
 def test_sample_names_the_stratum_it_gives_up(capsys, monkeypatch, chunk):
     # at 1.0 every draw is degenerate: <u,v>^2 <= <u,u><v,v>
     monkeypatch.setattr(curvature, "DEGENERATE_AREA_RTOL", 1.0)
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(curvature, "_CHUNK_ROWS", chunk)
     code, out, err = run(capsys, "sample", "--structure", "gl:real:3")
     assert (code, out) == (3, "")
     assert err == ("error: stratum p_p of gl:real:3: 100 consecutive "

@@ -11,8 +11,8 @@ from liecurv import (COMPLEX, REAL, CartanStructure, DegenerateSection,
                      NotPureType, Overflow, SectionReport, bracket,
                      bracket_norm_identity_gap, curvature_tensor, gl_complex,
                      gl_real, nabla, nabla_case, quartic, quartic_commuting,
-                     quartic_special, random_matrix, random_part, sectional,
-                     sections, theta_split)
+                     quartic_special, quartic_terms, random_matrix,
+                     random_part, sectional, sections, theta_split)
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -328,6 +328,7 @@ def test_sections_rows_are_bit_equal_to_sectional(n, field, seed, rows):
     rng = np.random.default_rng(seed)
     u = random_matrix(rng, n, field, (len(rows),))
     v = random_matrix(rng, n, field, (len(rows),))
+    scales = []
     for i, (k, j, kind) in enumerate(rows):
         if kind == "zero":
             u[i] = 0.0
@@ -337,13 +338,25 @@ def test_sections_rows_are_bit_equal_to_sectional(n, field, seed, rows):
             v[i] = u[i] + kind * v[i]
         u[i] *= math.ldexp(1.0, k)
         v[i] *= math.ldexp(1.0, j)
+        scales.append((k, j))
     report, degenerate = sections(s, u, v)
     assert degenerate.shape == (len(rows),)
-    for i in range(len(rows)):
+    for i, (k, j) in enumerate(scales):
         try:
             want = sectional(s, u[i], v[i])
         except DegenerateSection:
             assert degenerate[i]
+            # all but the sectional value stay exact on a masked row: the
+            # one-pair forms at unit scale, scaled back (2^-k stays finite)
+            k = max(k, -1021)
+            u0, v0 = u[i] * math.ldexp(1.0, -k), v[i] * math.ldexp(1.0, -j)
+            uu, vv, uv = (s.b_theta(a, b) for a, b in
+                          ((u0, u0), (v0, v0), (u0, v0)))
+            exact = [quartic(s, u0, v0), uu * vv - uv * uv,
+                     *quartic_terms(s, u0, v0)]
+            assert ([float(getattr(report, f)[i]).hex() for f in SECTION_FIELDS
+                     if f != "sectional"]
+                    == [math.ldexp(x, 2 * (k + j)).hex() for x in exact])
             continue
         assert not degenerate[i]
         assert ([float(getattr(report, f)[i]).hex() for f in SECTION_FIELDS]
