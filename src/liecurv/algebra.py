@@ -209,11 +209,13 @@ def matrix_from_json(obj: Any) -> MatrixElement:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a matrix object or nested list, got {type(obj).__name__}")
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         field = obj["field"]
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if field not in (REAL, COMPLEX):
         raise ValueError(f"unknown field tag {field!r}")
     if not isinstance(entries, list) or len(entries) != n * n:

@@ -264,9 +264,9 @@ def validate(s: CartanStructure, trials: int = 100,
 
 
 def _basis_gram(s: CartanStructure) -> np.ndarray:
-    elems = standard_basis(s)
-    g = np.empty((len(elems), len(elems)))
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            g[i, j] = s.b_theta(a, b)
-    return g
+    """b_theta of every pair of cells, as b_theta_stack computes it but with
+    theta taken one cell at a time: the structure under validation need not
+    take a stack."""
+    basis = np.stack(standard_basis(s))
+    thetas = np.stack([s.theta(b) for b in basis])
+    return 0.0 - _trace_form(basis[:, None], thetas[None])

@@ -14,14 +14,15 @@ special-case formulas (pure-class pairs, mixed-by-pure pairs, commuting
 pairs) live in separate functions so they can be cross-checked against it
 rather than replace it.
 
-The general expression is evaluated by one kernel on (..., n, n) arrays:
-quartic_terms, quartic and sectional run it on one pair, and sections on
-two stacks of m pairs, each row bit-equal to sectional of its pair.
+The general expression is evaluated by one kernel on (..., n, n) arrays,
+which quartic_terms and quartic run on one pair. sectional and sections
+share one evaluator around it (power-of-two rescaling, finiteness and
+degeneracy checks, scale-back): sectional is its one-pair case, and
+sections runs it on two stacks of m pairs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,92 +132,81 @@ def sectional(s: CartanStructure, u, v) -> SectionReport:
     and DegenerateSection when the squared area is at or below
     DEGENERATE_AREA_RTOL * ||u||^2 ||v||^2 (nearly dependent inputs).
     """
-    # With entries below 1 in modulus nothing overflows, so only a
-    # non-finite input fails the finiteness check
-    u, eu = _unit_scale(s.check_member(u))
-    v, ev = _unit_scale(s.check_member(v))
-    t1, t2, t3 = map(float, _terms(s, u, v))
-    q = t1 + t2 + t3
-    uu, vv, uv = map(float, _gram(s, u, v))
-    area_sq = uu * vv - uv * uv
-    if not all(map(math.isfinite, (t1, t2, t3, q, area_sq))):
-        raise Overflow(_NOT_FINITE)
-    if area_sq <= DEGENERATE_AREA_RTOL * uu * vv:
+    fields, degenerate, (area_sq, floor, eu, ev) = _section(
+        s, s.check_member(u), s.check_member(v))
+    if degenerate:
         raise DegenerateSection(
             f"squared area {area_sq:.3g} is below {DEGENERATE_AREA_RTOL:g} * "
-            f"||u||^2 ||v||^2 = {DEGENERATE_AREA_RTOL * uu * vv:.3g} "
-            f"(u scaled by 2^{-eu}, v by 2^{-ev})")
-    k = 2 * (eu + ev)  # the quartic, area and terms have degree 2 in u and in v
-    try:
-        return SectionReport(
-            quartic=math.ldexp(q, k), area_sq=math.ldexp(area_sq, k),
-            sectional=q / area_sq, term_pp=math.ldexp(t1, k),
-            term_mixed=math.ldexp(t2, k), term_cross=math.ldexp(t3, k))
-    except OverflowError:
-        raise Overflow(_NOT_FINITE) from None
+            f"||u||^2 ||v||^2 = {floor:.3g} (u scaled by 2^{-eu}, v by 2^{-ev})")
+    return SectionReport(*map(float, fields))
 
 
 def sections(s: CartanStructure, u, v) -> tuple[SectionReport, np.ndarray]:
     """sectional row by row on two (m, n, n) stacks of matrices.
 
     Returns a SectionReport whose fields are length-m arrays, and a boolean
-    mask of the degenerate rows. Where sectional(s, u[i], v[i]) returns,
-    row i holds its six values bit for bit; where it raises
-    DegenerateSection, row i is masked. On every row, masked or not,
-    quartic, area_sq and the three terms are exact: quartic_terms and the
-    Gram entries of u[i] and v[i] rescaled as sectional rescales them,
-    scaled back (so quartic is bit-equal to quartic(s, u[i], v[i]) where
-    no intermediate leaves the normal range, and may be inf on a masked
-    row, which is not checked for overflow). Only sectional means nothing
-    on a masked row. Raises Overflow for a row on which sectional does, so
-    for any non-finite row, and DimensionMismatch unless u and v are stacks
-    of one shape over s.
+    mask of the degenerate rows. Both run one evaluator, so where
+    sectional(s, u[i], v[i]) returns, row i holds its six values, and where
+    it raises DegenerateSection, row i is masked. On every row, masked or
+    not, quartic, area_sq and the three terms are exact: quartic_terms and
+    the Gram entries of u[i] and v[i] at unit scale, scaled back (so quartic
+    is bit-equal to quartic(s, u[i], v[i]) where no intermediate leaves the
+    normal range, and may be inf on a masked row, which is not checked for
+    overflow). Only sectional means nothing on a masked row. Raises Overflow
+    for a row on which sectional does, so for any non-finite row, and
+    DimensionMismatch unless u and v are stacks of one shape over s.
     """
     u, v = s.check_member(u, stack=True), s.check_member(v, stack=True)
     if u.ndim != 3 or u.shape != v.shape:
         raise DimensionMismatch(
             f"sections takes two (m, n, n) stacks of one shape, got shapes "
             f"{u.shape} and {v.shape}")
-    u, eu = _unit_scale_rows(u)
-    v, ev = _unit_scale_rows(v)
+    fields, degenerate, _ = _section(s, u, v)
+    return SectionReport(*fields), degenerate
+
+
+def _section(s: CartanStructure, u: np.ndarray, v: np.ndarray) -> tuple:
+    """sectional slice by slice on (..., n, n) arrays, unchecked.
+
+    Returns the six SectionReport fields, the degenerate mask, and for the
+    DegenerateSection text the squared area at unit scale, the floor it is
+    tested against and the exponents of u and v. Raises Overflow where the
+    values at unit scale are not finite, or where a plane that is not
+    degenerate leaves the range once scaled back; the text names the first
+    such row of a stack.
+    """
+    # with entries below 1 in modulus nothing overflows, so only a
+    # non-finite input makes a value at unit scale non-finite
+    u, eu = _unit_scale(u)
+    v, ev = _unit_scale(v)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t1, t2, t3 = _terms(s, u, v)
-        q = t1 + t2 + t3
         uu, vv, uv = _gram(s, u, v)
         area_sq = uu * vv - uv * uv
-        degenerate = area_sq <= DEGENERATE_AREA_RTOL * uu * vv
-        k = 2 * (eu + ev)
-        report = SectionReport(
-            quartic=np.ldexp(q, k), area_sq=np.ldexp(area_sq, k),
-            sectional=q / area_sq, term_pp=np.ldexp(t1, k),
-            term_mixed=np.ldexp(t2, k), term_cross=np.ldexp(t3, k))
-    # sectional checks the unscaled values first, and the scaled ones only
-    # of a plane that is not degenerate
-    ok = np.isfinite([t1, t2, t3, q, area_sq]).all(axis=0)
-    ok &= degenerate | np.isfinite(
-        [report.quartic, report.area_sq, report.term_pp, report.term_mixed,
-         report.term_cross]).all(axis=0)
+        floor = DEGENERATE_AREA_RTOL * uu * vv
+        degenerate = area_sq <= floor
+        # quartic, area_sq and the three terms have degree 2 in u and in v
+        unit = np.array([t1 + t2 + t3, area_sq, t1, t2, t3])
+        scaled = np.ldexp(unit, 2 * (eu + ev))
+        fields = (*scaled[:2], unit[0] / area_sq, *scaled[2:])
+    # the sectional value of a plane that is not degenerate is finite with
+    # the rest
+    ok = np.isfinite(unit).all(axis=0)
+    ok &= degenerate | np.isfinite(scaled).all(axis=0)
     if not ok.all():
-        raise Overflow(f"row {np.argmin(ok)}: {_NOT_FINITE}")
-    return report, degenerate
+        where = f"row {np.argmin(ok)}: " if ok.ndim else ""
+        raise Overflow(where + _NOT_FINITE)
+    return fields, degenerate, (area_sq, floor, eu, ev)
 
 
-def _unit_scale(u: np.ndarray) -> tuple[np.ndarray, int]:
-    """(u / 2^e, e) with the largest entry modulus of u / 2^e in [1/2, 1);
-    e = 0 for an empty or zero u, and e >= -1021 so 2^-e stays finite.
-    Non-finite entries stay non-finite."""
-    # a Python max over the entries costs a third of np.abs(u).max() here
-    _, e = math.frexp(max(map(abs, u.ravel().tolist()), default=0.0))
-    e = max(e, -1021)
-    return (u, e) if e == 0 else (u * math.ldexp(1.0, -e), e)
-
-
-def _unit_scale_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_unit_scale of each matrix of an (m, n, n) stack: the scaled stack
-    and the m exponents."""
+def _unit_scale(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u / 2^e, e) matrix by matrix on a (..., n, n) array: e has the
+    batch shape and puts the largest entry modulus of each matrix of
+    u / 2^e in [1/2, 1); e = 0 for a zero matrix, and e >= -1021 so 2^-e
+    stays finite. Non-finite entries stay non-finite."""
     _, e = np.frexp(np.abs(u).max(axis=(-2, -1)))
     e = np.maximum(e, -1021)
-    return u * np.ldexp(1.0, -e)[:, None, None], e
+    return u * np.ldexp(1.0, -e)[..., None, None], e
 
 
 def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import curvature
 from .algebra import matrix_exp
 from .cartan import CartanStructure, gl_real
 from .curvature import nabla
@@ -265,18 +266,22 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
             f"algebra defect {adef:.3g} exceeds {TANGENT_RTOL:g} * ||u|| "
             f"= {TANGENT_RTOL * u_norm:.3g} for {spec.name}")
     ts = np.linspace(0.0, t_max, steps)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gammas = geodesic_point(s, u, ts)
-    except Overflow:
-        # point by point, so that the error, and the defects and warnings
-        # before it, come in the order of a sweep in t
-        gammas = (geodesic_point(s, u, t) for t in map(float, ts))
     max_defect, argmax_t = 0.0, 0.0
-    for t, gamma in zip(ts, gammas):
-        d = spec.group_defect(gamma)
-        if d > max_defect:
-            max_defect, argmax_t = d, float(t)
+    # the grid goes in chunks of at most _CHUNK_ROWS times, which bounds the
+    # memory for any steps
+    for start in range(0, steps, curvature._CHUNK_ROWS):
+        chunk = ts[start:start + curvature._CHUNK_ROWS]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                gammas = geodesic_point(s, u, chunk)
+        except Overflow:
+            # point by point, so that the error, and the defects and warnings
+            # before it, come in the order of a sweep in t
+            gammas = (geodesic_point(s, u, t) for t in map(float, chunk))
+        for t, gamma in zip(chunk, gammas):
+            d = spec.group_defect(gamma)
+            if d > max_defect:
+                max_defect, argmax_t = d, float(t)
     threshold = DEFECT_RTOL * (1.0 + u_norm * t_max)
     return TotallyGeodesicReport(
         subgroup=spec.name, transpose_invariant=spec.transpose_invariant,

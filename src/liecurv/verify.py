@@ -390,8 +390,8 @@ def _riemann_suite(plan: tuple[CartanStructure, ...],
     for s in plan:
         d = s.real_dim
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        basis = tuple(np.tensordot(q, np.stack(standard_basis(s)), 1))
-        R = riemann_from_metric(s, basis)
+        basis = np.tensordot(q, np.stack(standard_basis(s)), 1)
+        R = riemann_from_metric(s, tuple(basis))
         scale = float(np.abs(R).max()) or 1.0
         # permuted views of R; the identities are summed slice by slice, since
         # a d^4 temporary would set the peak memory of the whole run
@@ -403,7 +403,7 @@ def _riemann_suite(plan: tuple[CartanStructure, ...],
 
         quartic_gap = 0.0
         for u, v in random_matrix(rng, s.n, s.field, (RIEMANN_SECTIONS, 2)):
-            x, y = (np.array([s.b_theta(w, e) for e in basis]) for w in (u, v))
+            x, y = (s.b_theta_stack(w, basis) for w in (u, v))
             contracted = np.einsum("ijkl,i,j,k,l->", R, x, y, y, x)
             quartic_gap = max(quartic_gap, abs(
                 contracted - quartic_from_definition(s, u, v))

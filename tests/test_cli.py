@@ -14,7 +14,7 @@ import pytest
 from liecurv import (DegenerateSection, DimensionMismatch, IncompleteBasis,
                      LieCurvError, NotCommuting, NotPureType, Overflow,
                      TangentNotInAlgebra, UnknownGroup, cli, curvature,
-                     from_selector, random_part, sectional)
+                     from_selector, matrix_from_json, random_part, sectional)
 from liecurv.cli import main
 
 SQ7 = math.sqrt(7.0)
@@ -406,6 +406,19 @@ def test_geodesic_complex_csv_rejected(capsys):
                     "entries": [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]})
     code, _, _ = run(capsys, "geodesic", "--u", u, "--format", "csv")
     assert code == 2
+
+
+# each was once read as a matrix of the size in the second place
+@pytest.mark.parametrize("n, size", [(1.5, 1), ("2", 2), (True, 1), (2.0, 2)],
+                         ids=["float", "string", "bool", "integral_float"])
+def test_a_size_that_is_not_an_integer_exit_2(capsys, n, size):
+    obj = {"n": n, "field": "real", "entries": [0.0] * (size * size)}
+    with pytest.raises(ValueError, match="^n must be an integer, got "):
+        matrix_from_json(obj)
+    code, out, err = run(capsys, "geodesic", "--u", json.dumps(obj))
+    assert code == 2
+    assert out == ""
+    assert "n must be an integer" in err
 
 
 def test_geodesic_bad_steps_exit_2(capsys):

@@ -10,7 +10,7 @@ from liecurv import (COMPLEX, DimensionMismatch, MatrixElement, Overflow,
                      geodesic_trace, gl_complex, gl_real, matrix_exp, nabla,
                      random_matrix, subgroup_from_selector,
                      totally_geodesic_check)
-from liecurv import geodesics, verify
+from liecurv import curvature, geodesics, verify
 
 SKEW_3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 SYM_3 = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 0.5]])
@@ -322,6 +322,28 @@ def test_an_overflowing_trace_fails_where_a_sweep_in_t_does():
 def test_an_overflowing_sweep_fails_where_a_sweep_in_t_does():
     # the second factor of gamma overflows at an earlier t than the first
     u = np.array([[116.0, -8e21], [0.0, 2477.0]])
+    with pytest.raises(Overflow) as walked:
+        for t in np.linspace(0.0, 2.0, geodesics.DEFAULT_STEPS):
+            geodesic_point(gl_real(2), u, float(t))
+    with pytest.raises(Overflow) as swept:
+        totally_geodesic_check(subgroup_from_selector("ut:2"), u)
+    assert str(swept.value) == str(walked.value)
+
+
+def test_a_chunked_sweep_gives_the_report_of_one_stack(monkeypatch):
+    # the 64-step grid is one chunk at the default bound and ten at 7
+    rng = np.random.default_rng(53)
+    specs = [subgroup_from_selector(g) for g in ("so:3", "opq:1,2", "ut:3")]
+    tangents = [spec.project(random_matrix(rng, spec.n)) for spec in specs]
+    whole = [totally_geodesic_check(spec, u) for spec, u in zip(specs, tangents)]
+    monkeypatch.setattr(curvature, "_CHUNK_ROWS", 7)
+    assert [totally_geodesic_check(spec, u)
+            for spec, u in zip(specs, tangents)] == whole
+    # the overflow is still met where a sweep in t meets it: at t[1], and
+    # with this tangent at t[38], in the sixth chunk
+    test_an_overflowing_sweep_fails_where_a_sweep_in_t_does()
+    test_an_overflowing_trace_fails_where_a_sweep_in_t_does()
+    u = np.array([[116.0, -1000.0], [0.0, 600.0]])
     with pytest.raises(Overflow) as walked:
         for t in np.linspace(0.0, 2.0, geodesics.DEFAULT_STEPS):
             geodesic_point(gl_real(2), u, float(t))
