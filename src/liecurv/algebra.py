@@ -147,11 +147,11 @@ def matrix_exp(u) -> np.ndarray:
     u = np.asarray(u)
     with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         out = scipy.linalg.expm(u)
-    if not np.all(np.isfinite(out)):
-        finite = np.isfinite(out).all(axis=(-2, -1)).ravel()
-        first = u.reshape(-1, *u.shape[-2:])[np.argmin(finite)]
-        raise Overflow(
-            f"exponential overflowed for a matrix of norm {np.linalg.norm(first):.3g}")
+        if not np.all(np.isfinite(out)):
+            finite = np.isfinite(out).all(axis=(-2, -1)).ravel()
+            first = u.reshape(-1, *u.shape[-2:])[np.argmin(finite)]
+            raise Overflow("exponential overflowed for a matrix of norm "
+                           f"{np.linalg.norm(first):.3g}")
     return out
 
 
@@ -216,6 +216,8 @@ def matrix_from_json(obj: Any) -> MatrixElement:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if field not in (REAL, COMPLEX):
         raise ValueError(f"unknown field tag {field!r}")
     if not isinstance(entries, list) or len(entries) != n * n:

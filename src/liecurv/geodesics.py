@@ -11,16 +11,19 @@ exp(-t s) a exp(t s) + s with a = -theta u and s = u - a. On gl(n, R) this
 is exp(t u^T) exp(t (u - u^T)). geodesic_residual measures how well the
 curve satisfies the geodesic equation.
 
-Each of the three takes t as a float or as a 1-D array of times. For an
-array the exponentials of the whole grid are taken as one stack, and every
-slice is bit-equal to the call at its own t.
+Each of the three takes t as a float or as a 1-D array of times. Each call
+takes all its exponentials from one matrix_exp call on one stack (and
+totally_geodesic_check one per chunk of its grid), with the factors of
+each time next to each other in the order a sweep in t meets them: every
+slice is bit-equal to the call at its own t, and an Overflow names the
+first exponential of that sweep that overflows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -41,47 +44,44 @@ FD_STEP = 1e-5
 Times = float | np.ndarray
 
 
-def _stack_times(t: Times) -> float | np.ndarray:
-    """t as a float, or a 1-D array of t as a (T, 1, 1) column that scales
-    one matrix per time."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise DimensionMismatch(
-            f"t must be a float or a 1-D array, got shape {t.shape}")
-    return t.reshape(-1, 1, 1) if t.ndim else float(t)
-
-
 def geodesic_point(s: CartanStructure, u, t: Times) -> np.ndarray:
     """gamma(t) = exp(-t theta u) exp(t (u + theta u)); a (T, n, n) stack
     for a 1-D array of T times."""
-    return _point(*_factors(s, u, t))
+    t, a, s2 = _factors(s, u, t)
+    e_a, e_s2 = _exps(t * a, t * s2)
+    return e_a @ e_s2
 
 
 def geodesic_body_velocity(s: CartanStructure, u, t: Times) -> np.ndarray:
     """omega(t) = gamma(t)^-1 gamma'(t) = exp(-t s2) a exp(t s2) + s2
     with a = -theta u and s2 = u + theta u; a (T, n, n) stack for a 1-D
     array of T times."""
-    return _body_velocity(*_factors(s, u, t))
+    t, a, s2 = _factors(s, u, t)
+    e_plus, e_minus = _exps(t * s2, -t * s2)
+    return e_minus @ a @ e_plus + s2
 
 
 def _factors(s: CartanStructure, u, t: Times) -> tuple:
-    """(t, a, s2) of the closed forms: t as _stack_times gives it,
+    """(t, a, s2) of the closed forms: t as a float, or a 1-D array of T
+    times as a (T, 1, 1) column that scales one matrix per time;
     a = -theta u and s2 = u - a = u + theta u."""
-    u, t = s.check_member(u), _stack_times(t)
+    u, t = s.check_member(u), np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise DimensionMismatch(
+            f"t must be a float or a 1-D array, got shape {t.shape}")
     a = -1.0 * s.theta(u)
-    return t, a, u - a
+    return t.reshape(-1, 1, 1) if t.ndim else float(t), a, u - a
 
 
-def _point(t, a: np.ndarray, s2: np.ndarray,
-           e: Optional[np.ndarray] = None) -> np.ndarray:
-    """geodesic_point, reusing e = exp(t s2) when the caller has it."""
-    return matrix_exp(t * a) @ (matrix_exp(t * s2) if e is None else e)
+def _exps(*factors: np.ndarray) -> list[np.ndarray]:
+    """The exponentials of equally shaped factors from one matrix_exp call.
 
-
-def _body_velocity(t, a: np.ndarray, s2: np.ndarray,
-                   e: Optional[np.ndarray] = None) -> np.ndarray:
-    """geodesic_body_velocity, reusing e = exp(t s2) when the caller has it."""
-    return matrix_exp(-t * s2) @ a @ (matrix_exp(t * s2) if e is None else e) + s2
+    The factors of each time sit next to each other in the stack, in the
+    order given, so its C order is the order in which a sweep in t meets
+    them, and the Overflow of matrix_exp names the first failure of that
+    sweep.
+    """
+    return list(np.moveaxis(matrix_exp(np.stack(factors, axis=-3)), -3, 0))
 
 
 # The benchmark's tracer still lists these names and requires each to
@@ -96,31 +96,37 @@ def geodesic_residual(s: CartanStructure, u, t: Times) -> float | np.ndarray:
 
     omega' is a central finite difference with step FD_STEP. For a true
     geodesic the residual is at the differencing noise floor (<= 1e-6 for
-    ||u|| <= 2, t in [0, 2]). Raises Overflow when a defect is not finite,
-    naming the first such t.
+    ||u|| <= 2, t in [0, 2]). Raises Overflow when an exponential of the
+    grid overflows, or else when a defect is not finite, naming the first
+    such t.
     """
-    return _residual(s, u, t)
+    return _sweep(s, u, t, with_point=False)[2]
 
 
-def _residual(s: CartanStructure, u, t: Times,
-              w: Optional[np.ndarray] = None) -> float | np.ndarray:
-    """geodesic_residual, reusing omega(t) = w when the caller has it."""
-    t = np.asarray(t, dtype=float)
+def _sweep(s: CartanStructure, u, t: Times, with_point: bool) -> tuple:
+    """(gamma or None, omega, residual) at t, from one stack of exponentials:
+    per time exp(t a) when with_point, then exp(+-t s2), exp(-+(t + h) s2)
+    and exp(-+(t - h) s2), in the order a sweep in t meets them."""
+    times = np.asarray(t, dtype=float)
+    t, a, s2 = _factors(s, u, times)
+    t_plus, t_minus = t + FD_STEP, t - FD_STEP
     with np.errstate(over="ignore", invalid="ignore"):
-        if w is None:
-            w = geodesic_body_velocity(s, u, t)
-        w_plus = geodesic_body_velocity(s, u, t + FD_STEP)
-        w_minus = geodesic_body_velocity(s, u, t - FD_STEP)
-        w_dot = (w_plus - w_minus) / (2.0 * FD_STEP)
+        *e_a, e, e_inv, e_plus_inv, e_plus, e_minus_inv, e_minus = _exps(
+            *([t * a] if with_point else []), t * s2, -t * s2,
+            -t_plus * s2, t_plus * s2, -t_minus * s2, t_minus * s2)
+        gamma = e_a[0] @ e if with_point else None
+        w = e_inv @ a @ e + s2
+        w_dot = ((e_plus_inv @ a @ e_plus + s2)
+                 - (e_minus_inv @ a @ e_minus + s2)) / (2.0 * FD_STEP)
         defect = w_dot + nabla(s, w, w)
         # one slice at a time: norm(axis=(-2, -1)) is not bit-equal to it
         residual = np.array([np.linalg.norm(d) for d in
                              defect.reshape(-1, *defect.shape[-2:])])
     finite = np.isfinite(residual)
     if not finite.all():
-        first = t.ravel()[np.argmin(finite)]
+        first = times.ravel()[np.argmin(finite)]
         raise Overflow(f"geodesic residual at t = {first:g} is not finite")
-    return residual if t.ndim else float(residual[0])
+    return gamma, w, residual if times.ndim else float(residual[0])
 
 
 def _check_grid(t_max: float, steps: int) -> None:
@@ -146,21 +152,7 @@ def geodesic_trace(s: CartanStructure, u, t_max: float = 2.0,
     (ValueError for steps < 2 or a non-finite t_max)."""
     _check_grid(t_max, steps)
     ts = np.linspace(0.0, t_max, steps)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t, a, s2 = _factors(s, u, ts)
-            # gamma and omega share their factor exp(t s2)
-            e = matrix_exp(t * s2)
-            gamma = _point(t, a, s2, e)
-            omega = _body_velocity(t, a, s2, e)
-            residual = _residual(s, u, ts, omega)
-    except Overflow:
-        # walk the grid point by point, so that the error, and any warning
-        # before it, is the first one a sweep in t meets
-        for t in map(float, ts):
-            geodesic_point(s, u, t)
-            _residual(s, u, t, geodesic_body_velocity(s, u, t))
-        raise
+    gamma, omega, residual = _sweep(s, u, ts, with_point=True)
     return [GeodesicSample(t=float(t), gamma=g, omega=w, residual=float(r))
             for t, g, w, r in zip(ts, gamma, omega, residual)]
 
@@ -259,29 +251,27 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
     _check_grid(t_max, steps)
     s = gl_real(spec.n)
     u = s.check_member(u)
-    u_norm = float(np.linalg.norm(u))
-    adef = spec.algebra_defect(u)
-    if adef > TANGENT_RTOL * u_norm:
-        raise TangentNotInAlgebra(
-            f"algebra defect {adef:.3g} exceeds {TANGENT_RTOL:g} * ||u|| "
-            f"= {TANGENT_RTOL * u_norm:.3g} for {spec.name}")
-    ts = np.linspace(0.0, t_max, steps)
-    max_defect, argmax_t = 0.0, 0.0
-    # the grid goes in chunks of at most _CHUNK_ROWS times, which bounds the
-    # memory for any steps
-    for start in range(0, steps, curvature._CHUNK_ROWS):
-        chunk = ts[start:start + curvature._CHUNK_ROWS]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                gammas = geodesic_point(s, u, chunk)
-        except Overflow:
-            # point by point, so that the error, and the defects and warnings
-            # before it, come in the order of a sweep in t
-            gammas = (geodesic_point(s, u, t) for t in map(float, chunk))
-        for t, gamma in zip(chunk, gammas):
-            d = spec.group_defect(gamma)
-            if d > max_defect:
-                max_defect, argmax_t = d, float(t)
+    # norms and defects of a huge tangent or gamma overflow to inf quietly,
+    # as the stacks do: the sweep reports an Overflow or a failed check
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_norm = float(np.linalg.norm(u))
+        adef = spec.algebra_defect(u)
+        if adef > TANGENT_RTOL * u_norm:
+            raise TangentNotInAlgebra(
+                f"algebra defect {adef:.3g} exceeds {TANGENT_RTOL:g} * ||u|| "
+                f"= {TANGENT_RTOL * u_norm:.3g} for {spec.name}")
+        ts = np.linspace(0.0, t_max, steps)
+        max_defect, argmax_t = 0.0, 0.0
+        # the grid goes in chunks of at most _CHUNK_ROWS times, one stack of
+        # exponentials each, which bounds the memory for any steps; an
+        # Overflow names the first failure of a sweep in t, since the earlier
+        # chunks have passed
+        for start in range(0, steps, curvature._CHUNK_ROWS):
+            chunk = ts[start:start + curvature._CHUNK_ROWS]
+            for t, gamma in zip(chunk, geodesic_point(s, u, chunk)):
+                d = spec.group_defect(gamma)
+                if d > max_defect:
+                    max_defect, argmax_t = d, float(t)
     threshold = DEFECT_RTOL * (1.0 + u_norm * t_max)
     return TotallyGeodesicReport(
         subgroup=spec.name, transpose_invariant=spec.transpose_invariant,

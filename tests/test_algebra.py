@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,11 @@ def test_matrix_exp_inverse_pairing():
 def test_matrix_exp_overflow():
     with pytest.raises(Overflow, match="of norm 2.83e"):
         matrix_exp(MatrixElement([[2000.0, 0.0], [0.0, 2000.0]]))
+    # the norm that the message names overflows too, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match=r"of norm inf$"):
+            matrix_exp(1e300 * np.ones((2, 2)))
 
 
 def test_stacked_matrix_exp_overflow_names_the_first_bad_slice():

@@ -408,17 +408,24 @@ def test_geodesic_complex_csv_rejected(capsys):
     assert code == 2
 
 
-# each was once read as a matrix of the size in the second place
-@pytest.mark.parametrize("n, size", [(1.5, 1), ("2", 2), (True, 1), (2.0, 2)],
-                         ids=["float", "string", "bool", "integral_float"])
-def test_a_size_that_is_not_an_integer_exit_2(capsys, n, size):
+# each of the first four was once read as a matrix of the size in the
+# second place; a negative n once reached numpy's reshape, which named
+# neither n nor the input, and n = 0 was caught only by MatrixElement
+@pytest.mark.parametrize(
+    "n, size, rule",
+    [(1.5, 1, ""), ("2", 2, ""), (True, 1, ""), (2.0, 2, ""),
+     (-1, 1, " >= 1"), (-2, 2, " >= 1"), (0, 0, " >= 1")],
+    ids=["float", "string", "bool", "integral_float",
+         "minus_one", "minus_two", "zero"])
+def test_a_size_that_is_not_an_integer_exit_2(capsys, n, size, rule):
     obj = {"n": n, "field": "real", "entries": [0.0] * (size * size)}
-    with pytest.raises(ValueError, match="^n must be an integer, got "):
+    message = f"n must be an integer{rule}, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         matrix_from_json(obj)
     code, out, err = run(capsys, "geodesic", "--u", json.dumps(obj))
     assert code == 2
     assert out == ""
-    assert "n must be an integer" in err
+    assert message in err
 
 
 def test_geodesic_bad_steps_exit_2(capsys):
@@ -439,6 +446,27 @@ def test_non_finite_t_max_exit_2(capsys, t_max):
             assert code == 2
             assert out == ""
             assert "t_max must be finite" in err
+
+
+# each overflows; the sweeps once printed numpy RuntimeWarnings before their
+# error line, from the norm of a huge tangent or from det in the sl defect;
+# the geodesic's residual is not finite from t = 0 on, and its error names
+# the exponential that overflows later on the grid
+@pytest.mark.parametrize("argv", [
+    ["subgroup", "--group", "so:3", "--u",
+     "[[0,1e300,0],[-1e300,0,0],[0,0,0]]"],
+    ["subgroup", "--group", "sl:2", "--u", "[[1000,2000],[0,-1000]]"],
+    ["subgroup", "--group", "ut:2", "--u", "[[1e300,1],[0,1e300]]"],
+    ["geodesic", "--u", "[[1e200,0],[0,1e200]]", "--steps", "9"]],
+    ids=["so3", "sl2", "ut2", "geodesic"])
+def test_an_overflow_prints_only_its_error_line(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"error: exponential overflowed for a matrix of "
+                        r"norm \S+\n", err)
 
 
 def test_subgroup_so3_passes(capsys):

@@ -140,10 +140,10 @@ def test_geodesic_trace_grid():
 
 
 def test_geodesic_trace_reuses_its_body_velocity(monkeypatch):
-    # 7 stacked matrix_exp calls over the grid: exp(t s2), which gamma and
-    # omega share, one more factor each for gamma and omega, and two each
-    # for omega(t + h) and omega(t - h) in the residual; in all they
-    # exponentiate 7 matrices per grid point
+    # one matrix_exp call on one stack of 7 matrices per grid point:
+    # exp(t a) for gamma, exp(t s2), which gamma and omega share, exp(-t s2)
+    # for omega, and two each for omega(t + h) and omega(t - h) in the
+    # residual
     s = gl_real(3)
     u = random_matrix(np.random.default_rng(43), 3)
     calls = []
@@ -152,7 +152,7 @@ def test_geodesic_trace_reuses_its_body_velocity(monkeypatch):
                         lambda a: calls.append(np.shape(a)) or exp(a))
     samples = geodesic_trace(s, u, steps=64)
     monkeypatch.undo()
-    assert calls == [(64, 3, 3)] * 7
+    assert calls == [(64, 7, 3, 3)]
     assert sum(np.prod(shape[:-2]) for shape in calls) <= 448
     for x in samples:
         assert np.array_equal(x.omega, geodesic_body_velocity(s, u, x.t))
@@ -350,6 +350,46 @@ def test_a_chunked_sweep_gives_the_report_of_one_stack(monkeypatch):
     with pytest.raises(Overflow) as swept:
         totally_geodesic_check(subgroup_from_selector("ut:2"), u)
     assert str(swept.value) == str(walked.value)
+
+
+# at the first tangent the second factor of gamma overflows at an earlier t
+# than the first; at the second omega(t +- h) overflows at t = 0
+@pytest.mark.parametrize("u", [[[116.0, -8e21], [0.0, 2477.0]],
+                               [[0.0, 1e100], [-1e100, 0.0]]],
+                         ids=["ut2", "skew"])
+@pytest.mark.parametrize("f", [geodesic_point, geodesic_body_velocity,
+                               geodesic_residual], ids=lambda f: f.__name__)
+def test_a_stacked_grid_overflows_where_a_loop_over_t_does(f, u):
+    ts = np.linspace(0.0, 2.0, geodesics.DEFAULT_STEPS)
+    with pytest.raises(Overflow) as looped:
+        for t in ts:
+            f(gl_real(2), u, float(t))
+    with pytest.raises(Overflow) as stacked:
+        f(gl_real(2), u, ts)
+    assert str(stacked.value) == str(looped.value)
+
+
+def test_each_call_takes_one_stack_of_exponentials(monkeypatch):
+    s = gl_real(3)
+    u = random_matrix(np.random.default_rng(59), 3)
+    ts = np.linspace(0.0, 2.0, 9)
+    calls = []
+    exp = geodesics.matrix_exp
+    monkeypatch.setattr(geodesics, "matrix_exp",
+                        lambda a: calls.append(np.shape(a)) or exp(a))
+    # gamma takes exp(t a) and exp(t s2), omega exp(+-t s2), the residual
+    # exp(+-t s2), exp(-+(t + h) s2) and exp(-+(t - h) s2)
+    for f, k in ((geodesic_point, 2), (geodesic_body_velocity, 2),
+                 (geodesic_residual, 6)):
+        for t, shape in ((0.5, (k, 3, 3)), (ts, (9, k, 3, 3))):
+            calls.clear()
+            f(s, u, t)
+            assert calls == [shape]
+    # a sweep takes one stack per chunk of the grid
+    monkeypatch.setattr(curvature, "_CHUNK_ROWS", 7)
+    calls.clear()
+    totally_geodesic_check(subgroup_from_selector("so:3"), SKEW_3)
+    assert calls == [(7, 2, 3, 3)] * 9 + [(1, 2, 3, 3)]
 
 
 def test_velocity_link_suite_passes_and_catches_a_corrupted_omega(monkeypatch):
