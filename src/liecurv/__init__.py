@@ -8,16 +8,14 @@ checks, and an independent oracle built from the structure constants of the
 algebra that certifies the closed forms numerically.
 """
 
-from .algebra import (COMPLEX, REAL, MatrixElement, bracket, frobenius_inner,
-                      matrix_exp, matrix_from_json, matrix_to_json,
-                      random_element, random_matrix)
+from .algebra import (COMPLEX, REAL, MatrixElement, bracket, matrix_exp,
+                      matrix_from_json, matrix_to_json, random_matrix)
 from .cartan import (CartanStructure, ThetaSplit, from_selector, gl_complex,
                      gl_real, pure_class, random_part, standard_basis,
                      theta_part, theta_split, validate)
-from .curvature import (SectionReport, bracket_norm_identity_gap,
-                        curvature_tensor, nabla, nabla_case, quartic,
-                        quartic_commuting, quartic_special, quartic_terms,
-                        sectional, sections)
+from .curvature import (SectionReport, bracket_norm_identity_gap, nabla,
+                        quartic, quartic_commuting, quartic_special,
+                        quartic_terms, sectional, sections)
 from .errors import (DegenerateSection, DimensionMismatch, IncompleteBasis,
                      LieCurvError, NotCommuting, NotPureType, Overflow,
                      TangentNotInAlgebra, UnknownGroup)
@@ -32,15 +30,14 @@ from .verify import SuiteResult, VerifyReport, run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPLEX", "REAL", "MatrixElement", "bracket", "frobenius_inner",
-    "matrix_exp", "matrix_from_json", "matrix_to_json", "random_element",
-    "random_matrix",
+    "COMPLEX", "REAL", "MatrixElement", "bracket", "matrix_exp",
+    "matrix_from_json", "matrix_to_json", "random_matrix",
     "CartanStructure", "ThetaSplit", "from_selector", "gl_complex", "gl_real",
     "pure_class", "random_part", "standard_basis", "theta_part", "theta_split",
     "validate",
-    "SectionReport", "bracket_norm_identity_gap", "curvature_tensor", "nabla",
-    "nabla_case", "quartic", "quartic_commuting", "quartic_special",
-    "quartic_terms", "sectional", "sections",
+    "SectionReport", "bracket_norm_identity_gap", "nabla", "quartic",
+    "quartic_commuting", "quartic_special", "quartic_terms", "sectional",
+    "sections",
     "DegenerateSection", "DimensionMismatch", "IncompleteBasis", "LieCurvError",
     "NotCommuting", "NotPureType", "Overflow", "TangentNotInAlgebra",
     "UnknownGroup",

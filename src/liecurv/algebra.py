@@ -1,5 +1,5 @@
-"""Dense small-matrix kernel: bracket, Frobenius data, matrix exponential,
-seeded random generation, and the JSON wire form for matrices.
+"""Dense small-matrix kernel: bracket, matrix exponential, seeded random
+generation, and the JSON wire form for matrices.
 
 Matrices live in gl(n, R) or gl(n, C) and are kept deliberately small and
 dense; everything downstream (Cartan structures, curvature, geodesics) is
@@ -18,10 +18,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, Overflow
-
-# A seed is a plain non-negative integer (64-bit range); the same seed always
-# reproduces the same sample stream.
-Seed = int
 
 REAL = "real"
 COMPLEX = "complex"
@@ -73,15 +69,6 @@ def bracket(u, v) -> np.ndarray:
     """Lie bracket [u, v] = uv - vu."""
     u, v = np.asarray(u), np.asarray(v)
     return u @ v - v @ u
-
-
-def frobenius_inner(u, v) -> float:
-    """Frobenius inner product: tr(u^T v), or Re tr(u* v) over the complex field."""
-    u, v = np.asarray(u), np.asarray(v)
-    if u.shape != v.shape:
-        # the elementwise product would broadcast instead of failing
-        raise DimensionMismatch(f"operands disagree: shapes {u.shape} and {v.shape}")
-    return float(np.sum(np.conj(u) * v).real)
 
 
 # Thread-count setters of OpenBLAS, as the scipy and numpy wheels and as
@@ -168,13 +155,6 @@ def random_matrix(rng: np.random.Generator, n: int, field: str = REAL,
         x = rng.uniform(-1.0, 1.0, (*shape, 2, n, n))
         return x[..., 0, :, :] + 1j * x[..., 1, :, :]
     return rng.uniform(-1.0, 1.0, (*shape, n, n))
-
-
-def random_element(seed: Seed, n: int, field: str = REAL) -> np.ndarray:
-    """Deterministic random matrix keyed by (seed, n, field)."""
-    if n < 1:
-        raise DimensionMismatch(f"n must be >= 1, got {n}")
-    return random_matrix(np.random.default_rng(seed), n, field)
 
 
 # -- JSON wire form ---------------------------------------------------------

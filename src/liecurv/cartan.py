@@ -152,8 +152,9 @@ def theta_split(s: CartanStructure, u) -> ThetaSplit:
 
 
 def theta_part(s: CartanStructure, u: np.ndarray, part: str) -> np.ndarray:
-    """The theta-part of u that theta_split gives: "p" or "k", or "g" for u
-    itself. Slice by slice on a stack, and unchecked: u is a plain array."""
+    """The theta-part of u: "p" or "k", or "g" for u itself. Slice by slice
+    on a stack, and unchecked: u is a plain array. Every split in the
+    library goes through here; theta_split is its checked one-matrix form."""
     if part == "g":
         return u
     if part not in ("p", "k"):
@@ -169,8 +170,9 @@ def pure_class(s: CartanStructure, u) -> str:
     additive floor so the zero matrix counts as pure). Raises NotPureType for
     genuinely mixed vectors, DimensionMismatch for a stack.
     """
-    parts = theta_split(s, u)
-    np_, nk = np.linalg.norm(parts.p_part), np.linalg.norm(parts.k_part)
+    u = s.check_member(u)
+    p = theta_part(s, u, "p")
+    np_, nk = np.linalg.norm(p), np.linalg.norm(u - p)
     allowed = PURITY_RTOL * np.linalg.norm(u) + 1e-14
     if nk <= allowed:
         return "p"
@@ -240,23 +242,21 @@ def validate(s: CartanStructure, trials: int = 100,
     sym_gap = float(np.abs(gram - gram.T).max())
     errors["b_theta_positive_definite_basis"] = max(0.0, 1.0 - min_eig) + sym_gap
 
-    errors["split_orthogonality"] = worst(
-        lambda u: abs(s.b_theta(theta_split(s, u).p_part, theta_split(s, u).k_part))
-        / (norm(u) ** 2 + 1e-14))
+    def split_orthogonality(u: np.ndarray) -> float:
+        p = theta_part(s, u, "p")
+        return abs(s.b_theta(p, u - p)) / (norm(u) ** 2 + 1e-14)
+    errors["split_orthogonality"] = worst(split_orthogonality)
 
-    def inclusion(picker_a, picker_b, off_picker) -> float:
+    def inclusion(part_a: str, part_b: str, off_part: str) -> float:
         def err(u, v):
-            a = picker_a(theta_split(s, u))
-            b = picker_b(theta_split(s, v))
-            off = off_picker(theta_split(s, bracket(a, b)))
+            a, b = theta_part(s, u, part_a), theta_part(s, v, part_b)
+            off = theta_part(s, bracket(a, b), off_part)
             return norm(off) / (norm(a) * norm(b) + 1e-14)
         return worst_pair(err)
 
-    p_of = lambda sp: sp.p_part
-    k_of = lambda sp: sp.k_part
-    errors["inclusion_kk_in_k"] = inclusion(k_of, k_of, p_of)
-    errors["inclusion_pp_in_k"] = inclusion(p_of, p_of, p_of)
-    errors["inclusion_kp_in_p"] = inclusion(k_of, p_of, k_of)
+    errors["inclusion_kk_in_k"] = inclusion("k", "k", "p")
+    errors["inclusion_pp_in_k"] = inclusion("p", "p", "p")
+    errors["inclusion_kp_in_p"] = inclusion("k", "p", "k")
 
     tolerance = {"b_theta_positive_definite_basis": BASIS_TOL}
     return {name: float(err) / tolerance.get(name, AXIOM_TOL)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import bracket
-from .cartan import CartanStructure, pure_class, theta_part, theta_split
+from .cartan import CartanStructure, pure_class, theta_part
 from .errors import (DegenerateSection, DimensionMismatch, NotCommuting,
                      NotPureType, Overflow)
 
@@ -70,27 +70,6 @@ def nabla(s: CartanStructure, u, v) -> np.ndarray:
     identity; slice by slice when u and v are stacks on their last two axes."""
     u, v = s.check_member(u, stack=True), s.check_member(v, stack=True)
     return 0.5 * (bracket(u, v) - bracket(u, s.theta(v)) - bracket(v, s.theta(u)))
-
-
-def nabla_case(s: CartanStructure, u, v) -> tuple[np.ndarray, str]:
-    """Piecewise form of nabla for inputs that are purely p or purely k.
-
-    Returns the value together with the case tag that fired: the coefficient
-    on [u, v] is 1/2 for p_p and k_k, -1/2 for p_k, 3/2 for k_p. Raises
-    NotPureType if either argument mixes the classes beyond tolerance.
-    """
-    cu = pure_class(s, u)
-    cv = pure_class(s, v)
-    coeff = {("p", "p"): 0.5, ("k", "k"): 0.5,
-             ("p", "k"): -0.5, ("k", "p"): 1.5}[(cu, cv)]
-    return coeff * bracket(u, v), f"{cu}_{cv}"
-
-
-def curvature_tensor(s: CartanStructure, u, v, w) -> np.ndarray:
-    """R(u, v)w = nabla_u nabla_v w - nabla_v nabla_u w - nabla_[u,v] w."""
-    return (nabla(s, u, nabla(s, v, w))
-            - nabla(s, v, nabla(s, u, w))
-            - nabla(s, bracket(u, v), w))
 
 
 def quartic_terms(s: CartanStructure, u, v) -> tuple[float, float, float]:
@@ -217,6 +196,7 @@ def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:
     tag is g_p or g_k. The returned value agrees with quartic(s, u, v); this
     function exists as a cross-check, not a fast path.
     """
+    u, v = s.check_member(u), s.check_member(v)
     cv = pure_class(s, v)
     try:
         cu = pure_class(s, u)
@@ -227,10 +207,10 @@ def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:
         return s.b_theta(x, x)
 
     if cu == "g":
-        su = theta_split(s, u)
+        pu = theta_part(s, u, "p")
         if cv == "p":
-            value = (-1.75 * nsq(bracket(su.p_part, v))
-                     + 0.25 * nsq(bracket(su.k_part, v)))
+            value = (-1.75 * nsq(bracket(pu, v))
+                     + 0.25 * nsq(bracket(u - pu, v)))
         else:
             value = 0.25 * nsq(bracket(u, v))
     elif (cu, cv) == ("p", "p"):
@@ -247,12 +227,13 @@ def quartic_commuting(s: CartanStructure, u, v) -> float:
     Raises NotCommuting when ||[u, v]|| > COMMUTING_RTOL * (||u|| ||v|| + 1).
     The value agrees with quartic(s, u, v) whenever the precondition holds.
     """
+    u, v = s.check_member(u), s.check_member(v)
     bn = s.norm(bracket(u, v))
     allowed = COMMUTING_RTOL * (s.norm(u) * s.norm(v) + 1.0)
     if bn > allowed:
         raise NotCommuting(
             f"||[u, v]|| = {bn:.3g} exceeds {allowed:.3g}; pair does not commute")
-    b11 = bracket(theta_split(s, u).p_part, theta_split(s, v).p_part)
+    b11 = bracket(theta_part(s, u, "p"), theta_part(s, v, "p"))
     return 0.0 - 4.0 * s.b_theta(b11, b11)
 
 
@@ -262,13 +243,14 @@ def bracket_norm_identity_gap(s: CartanStructure, u, v) -> float:
         ||[u,v]||^2 = ||[u,v1]||^2 + ||[u,v2]||^2 - 2 <[v1,v2], [u1,u2]>
 
     (a diagnostic; the gap should vanish to rounding on any inputs)."""
-    su, sv = theta_split(s, u), theta_split(s, v)
+    u, v = s.check_member(u), s.check_member(v)
+    u1, v1 = theta_part(s, u, "p"), theta_part(s, v, "p")
+    u2, v2 = u - u1, v - v1
 
     def nsq(x: np.ndarray) -> float:
         return s.b_theta(x, x)
 
     lhs = nsq(bracket(u, v))
-    rhs = (nsq(bracket(u, sv.p_part)) + nsq(bracket(u, sv.k_part))
-           - 2.0 * s.b_theta(bracket(sv.p_part, sv.k_part),
-                             bracket(su.p_part, su.k_part)))
+    rhs = (nsq(bracket(u, v1)) + nsq(bracket(u, v2))
+           - 2.0 * s.b_theta(bracket(v1, v2), bracket(u1, u2)))
     return lhs - rhs

@@ -242,17 +242,19 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
     """Track the subgroup defect of the geodesic from a tangent u in the algebra.
 
     Raises DimensionMismatch unless u is a real matrix of the subgroup's
-    size, TangentNotInAlgebra when algebra_defect(u) > 1e-10 ||u||, and
-    ValueError for steps < 2 or a non-finite t_max. The report passes when
-    the largest defect over the t-grid stays at or below
-    1e-9 (1 + ||u|| t_max); for a transpose-invariant subgroup the geodesic
-    should never leave, while the UT control visibly escapes.
+    size, TangentNotInAlgebra when algebra_defect(u) > 1e-10 ||u||,
+    ValueError for steps < 2 or a non-finite t_max, and Overflow naming the
+    first exponential of the sweep that overflows, or else the first t
+    where the defect is not finite (so a report holds finite numbers
+    only). The report passes when the largest defect over the t-grid stays
+    at or below 1e-9 (1 + ||u|| t_max); for a transpose-invariant subgroup
+    the geodesic should never leave, while the UT control visibly escapes.
     """
     _check_grid(t_max, steps)
     s = gl_real(spec.n)
     u = s.check_member(u)
     # norms and defects of a huge tangent or gamma overflow to inf quietly,
-    # as the stacks do: the sweep reports an Overflow or a failed check
+    # as the stacks do: the sweep reports them as an Overflow
     with np.errstate(over="ignore", invalid="ignore"):
         u_norm = float(np.linalg.norm(u))
         adef = spec.algebra_defect(u)
@@ -261,17 +263,23 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
                 f"algebra defect {adef:.3g} exceeds {TANGENT_RTOL:g} * ||u|| "
                 f"= {TANGENT_RTOL * u_norm:.3g} for {spec.name}")
         ts = np.linspace(0.0, t_max, steps)
-        max_defect, argmax_t = 0.0, 0.0
+        max_defect, argmax_t, not_finite = 0.0, 0.0, None
         # the grid goes in chunks of at most _CHUNK_ROWS times, one stack of
         # exponentials each, which bounds the memory for any steps; an
-        # Overflow names the first failure of a sweep in t, since the earlier
-        # chunks have passed
+        # exponential Overflow names the first failure of a sweep in t, since
+        # the earlier chunks have passed
         for start in range(0, steps, curvature._CHUNK_ROWS):
             chunk = ts[start:start + curvature._CHUNK_ROWS]
             for t, gamma in zip(chunk, geodesic_point(s, u, chunk)):
                 d = spec.group_defect(gamma)
+                if not_finite is None and not math.isfinite(d):
+                    not_finite = t
                 if d > max_defect:
                     max_defect, argmax_t = d, float(t)
+    # as in geodesic_trace, an exponential that overflows anywhere on the
+    # grid comes first, whatever the chunk size
+    if not_finite is not None:
+        raise Overflow(f"subgroup defect at t = {not_finite:g} is not finite")
     threshold = DEFECT_RTOL * (1.0 + u_norm * t_max)
     return TotallyGeodesicReport(
         subgroup=spec.name, transpose_invariant=spec.transpose_invariant,

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from liecurv import (COMPLEX, REAL, DimensionMismatch, MatrixElement, Overflow,
-                     bracket, bracket_norm_identity_gap, curvature_tensor,
-                     frobenius_inner, geodesic_body_velocity, geodesic_point,
-                     geodesic_residual, geodesic_trace, gl_real, matrix_exp,
-                     matrix_from_json, matrix_to_json, nabla, nabla_case,
-                     nabla_from_metric, pure_class, quartic, quartic_commuting,
-                     quartic_from_definition, quartic_special, quartic_terms,
-                     random_element, random_matrix, sectional,
+                     bracket, bracket_norm_identity_gap, geodesic_body_velocity,
+                     geodesic_point, geodesic_residual, geodesic_trace,
+                     gl_complex, gl_real, matrix_exp, matrix_from_json,
+                     matrix_to_json, nabla, nabla_from_metric, pure_class,
+                     quartic, quartic_commuting, quartic_from_definition,
+                     quartic_special, quartic_terms, random_matrix, sectional,
                      subgroup_from_selector, theta_split,
                      totally_geodesic_check)
 
@@ -78,33 +77,35 @@ def test_bracket_3x3_pair_commutes_exactly():
     assert np.array_equal(bracket(u, v), np.zeros((3, 3)))
 
 
+def frobenius(u, v) -> float:
+    """Re tr(u* v) by np.vdot: an independent reference for b_theta, which
+    is the Frobenius inner product on both fields."""
+    return float(np.vdot(u, v).real)
+
+
 def test_frobenius_inner_unit_cell():
     e11 = np.diag([1.0, 0.0])
-    assert frobenius_inner(e11, e11) == 1.0
+    assert gl_real(2).b_theta(e11, e11) == frobenius(e11, e11) == 1.0
 
 
 def test_frobenius_inner_diagonal_vs_hollow():
     d = MatrixElement([[1.0, 0.0], [0.0, 2.0]])
     h = MatrixElement([[0.0, 1.0], [1.0, 0.0]])
-    assert frobenius_inner(d, h) == 0.0
+    assert gl_real(2).b_theta(d, h) == frobenius(d, h) == 0.0
 
 
 def test_frobenius_inner_complex_ii():
     i_eye = MatrixElement(1j * np.eye(2))
-    assert frobenius_inner(i_eye, i_eye) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_frobenius_inner_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        frobenius_inner(np.eye(2), [[1.0]])
+    assert gl_complex(2).b_theta(i_eye, i_eye) == pytest.approx(2.0, abs=1e-15)
+    assert frobenius(i_eye, i_eye) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_frobenius_inner_positive_definite():
     rng = np.random.default_rng(11)
-    for field in (REAL, COMPLEX):
+    for s in (gl_real(3), gl_complex(3)):
         for _ in range(20):
-            u = random_matrix(rng, 3, field)
-            assert frobenius_inner(u, u) > 0.0
+            u = random_matrix(rng, 3, s.field)
+            assert s.b_theta(u, u) > 0.0
 
 
 def test_matrix_exp_zero():
@@ -172,6 +173,11 @@ def test_matrix_exp_runs_openblas_on_one_thread_and_restores_it(monkeypatch):
     assert [get() for get, _ in controls] == before
 
 
+def random_element(seed: int, n: int, field: str = REAL) -> np.ndarray:
+    """One random_matrix draw from a fresh generator of the seed."""
+    return random_matrix(np.random.default_rng(seed), n, field)
+
+
 def test_random_element_deterministic():
     a = random_element(9, 3)
     b = random_element(9, 3)
@@ -206,15 +212,18 @@ def test_jacobi_identity_sweep():
 
 def test_bracket_and_inner_bilinearity():
     rng = np.random.default_rng(23)
+    s = gl_real(3)
     for _ in range(10):
         u, v, w = (random_matrix(rng, 3) for _ in range(3))
         a, b = rng.uniform(-2, 2, size=2)
         lhs = bracket(float(a) * u + float(b) * v, w)
         rhs = float(a) * bracket(u, w) + float(b) * bracket(v, w)
         assert norm(lhs - rhs) <= 1e-12 * (norm(lhs) + 1.0)
-        li = frobenius_inner(float(a) * u + float(b) * v, w)
-        ri = float(a) * frobenius_inner(u, w) + float(b) * frobenius_inner(v, w)
+        li = s.b_theta(float(a) * u + float(b) * v, w)
+        ri = float(a) * s.b_theta(u, w) + float(b) * s.b_theta(v, w)
         assert abs(li - ri) <= 1e-12 * (abs(li) + 1.0)
+        assert li == pytest.approx(frobenius(float(a) * u + float(b) * v, w),
+                                   abs=1e-12)
 
 
 def test_json_round_trip_real():
@@ -275,7 +284,6 @@ SUBGROUPS = [subgroup_from_selector(x)
              for x in ("so:3", "sl:3", "opq:1,2", "ut:3")]
 EDGE_CASES = {
     "bracket": lambda m: bracket(m["u"], m["v"]),
-    "frobenius_inner": lambda m: frobenius_inner(m["u"], m["v"]),
     "matrix_exp": lambda m: matrix_exp(m["u"]),
     "matrix_to_json": lambda m: matrix_to_json(m["u"]),
     "b_theta": lambda m: S3.b_theta(m["u"], m["v"]),
@@ -284,8 +292,10 @@ EDGE_CASES = {
     "theta_split": lambda m: theta_split(S3, m["u"]),
     "pure_class": lambda m: (pure_class(S3, m["p"]), pure_class(S3, m["k"])),
     "nabla": lambda m: nabla(S3, m["u"], m["v"]),
-    "nabla_case": lambda m: nabla_case(S3, m["k"], m["p"]),
-    "curvature_tensor": lambda m: curvature_tensor(S3, m["u"], m["v"], m["w"]),
+    "curvature_tensor": lambda m: (
+        nabla(S3, m["u"], nabla(S3, m["v"], m["w"]))
+        - nabla(S3, m["v"], nabla(S3, m["u"], m["w"]))
+        - nabla(S3, bracket(m["u"], m["v"]), m["w"])),
     "quartic_terms": lambda m: quartic_terms(S3, m["u"], m["w"]),
     "quartic": lambda m: quartic(S3, m["u"], m["w"]),
     "sectional": lambda m: sectional(S3, m["u"], m["w"]),

@@ -469,6 +469,27 @@ def test_an_overflow_prints_only_its_error_line(capsys, argv):
                         r"norm \S+\n", err)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# gamma stays finite on these boosts, but the O(1, 2) defect g^T eta g - eta
+# (at 300) and the SL(2) defect det g - 1 (at 200) overflow
+@pytest.mark.parametrize("argv", [
+    ["subgroup", "--group", "opq:1,2", "--u", "[[0,300,0],[300,0,0],[0,0,0]]"],
+    ["subgroup", "--group", "sl:2", "--u", "[[0,200],[200,0]]"]],
+    ids=["opq12_boost_300", "sl2_boost_200"])
+def test_subgroup_prints_no_non_finite_defect(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    if out:
+        json.loads(out, parse_constant=_no_constant)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: subgroup defect at t = \S+ is not finite\n",
+                        err)
+
+
 def test_subgroup_so3_passes(capsys):
     code, out, _ = run(capsys, "subgroup", "--group", "so:3", "--u", SKEW_3)
     assert code == 0

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from liecurv import (COMPLEX, REAL, CartanStructure, DegenerateSection,
                      DimensionMismatch, MatrixElement, NotCommuting,
                      NotPureType, Overflow, SectionReport, bracket,
-                     bracket_norm_identity_gap, curvature_tensor, gl_complex,
-                     gl_real, nabla, nabla_case, quartic, quartic_commuting,
-                     quartic_special, quartic_terms, random_matrix,
-                     random_part, sectional, sections, theta_split)
+                     bracket_norm_identity_gap, gl_complex, gl_real, nabla,
+                     pure_class, quartic, quartic_commuting, quartic_special,
+                     quartic_terms, random_matrix, random_part, sectional,
+                     sections, theta_split)
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -63,26 +63,17 @@ def test_nabla_real_closed_form_transpose_shape():
 @pytest.mark.parametrize("cu,cv,coeff", [
     ("p", "p", 0.5), ("k", "k", 0.5), ("p", "k", -0.5), ("k", "p", 1.5)])
 def test_nabla_case_coefficients(cu, cv, coeff):
+    # on pure inputs the connection is a multiple of the bracket, with the
+    # paper's coefficient for each pair of classes
     s = gl_real(3)
     seeds = {("p", "p"): 211, ("k", "k"): 223, ("p", "k"): 227, ("k", "p"): 229}
     rng = np.random.default_rng(seeds[(cu, cv)])
     for _ in range(10):
         u = random_part(s, rng, cu)
         v = random_part(s, rng, cv)
-        value, tag = nabla_case(s, u, v)
-        assert tag == f"{cu}_{cv}"
-        assert norm(value - coeff * bracket(u, v)) == 0.0
-        assert norm(value - nabla(s, u, v)) <= 1e-13 * (norm(u) * norm(v) + 1.0)
-
-
-def test_nabla_case_rejects_mixed():
-    s = gl_real(2)
-    mixed = MatrixElement([[1.0, 1.0], [0.0, 1.0]])
-    sym = MatrixElement([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(NotPureType):
-        nabla_case(s, mixed, sym)
-    with pytest.raises(NotPureType):
-        nabla_case(s, sym, mixed)
+        assert (pure_class(s, u), pure_class(s, v)) == (cu, cv)
+        direct = coeff * bracket(u, v)
+        assert norm(nabla(s, u, v) - direct) <= 1e-13 * (norm(u) * norm(v) + 1.0)
 
 
 def test_nabla_metric_compatibility():
@@ -118,6 +109,13 @@ def test_nabla_koszul_consistency():
 
 
 # -- curvature tensor ---------------------------------------------------------
+
+
+def curvature_tensor(s: CartanStructure, u, v, w) -> np.ndarray:
+    """R(u, v)w = nabla_u nabla_v w - nabla_v nabla_u w - nabla_[u,v] w."""
+    return (nabla(s, u, nabla(s, v, w))
+            - nabla(s, v, nabla(s, u, w))
+            - nabla(s, bracket(u, v), w))
 
 
 def test_curvature_tensor_vanishes_on_equal_arguments():
@@ -298,7 +296,7 @@ def test_forms_of_one_plane_reject_a_stack():
     stack = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
     for fn in (s.b_theta, lambda u, v: quartic(s, u, v), lambda u, v: sectional(s, u, v),
                lambda u, v: quartic_special(s, u, v),
-               lambda u, v: nabla_case(s, u, v)):
+               lambda u, v: pure_class(s, u)):
         with pytest.raises(DimensionMismatch):
             fn(stack, stack)
         with pytest.raises(DimensionMismatch):
@@ -507,6 +505,25 @@ def test_quartic_commuting_diagonal_pair_is_zero():
 def test_quartic_commuting_rejects_2x2_pair():
     with pytest.raises(NotCommuting):
         quartic_commuting(gl_real(2), PAIR_2X2_U, PAIR_2X2_V)
+
+
+NOT_COMMUTING = (np.array([[1.0, 2.0], [0.0, 1.0]]),
+                 np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda s, u, v: pure_class(s, u), quartic_special, quartic_commuting,
+    bracket_norm_identity_gap],
+    ids=["pure_class", "quartic_special", "quartic_commuting",
+         "bracket_norm_identity_gap"])
+@pytest.mark.parametrize("s,scale", [(gl_real(3), 1.0), (gl_real(2), 1j)],
+                         ids=["2x2_on_gl3", "complex_on_real_gl2"])
+def test_split_references_check_their_inputs_at_entry(fn, s, scale):
+    # the pair does not commute, so the size or field check must come before
+    # the commutator test of quartic_commuting
+    u, v = (scale * x for x in NOT_COMMUTING)
+    with pytest.raises(DimensionMismatch, match="does not belong to gl:real"):
+        fn(s, u, v)
 
 
 # -- sign theorems and the iff ------------------------------------------------

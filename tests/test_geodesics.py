@@ -251,6 +251,22 @@ def test_ut3_control_escapes():
     assert report.max_defect >= 1e-3
 
 
+@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_defect_that_is_not_finite_is_an_overflow(monkeypatch, bad, chunk):
+    # a NaN compares false with the running maximum, so only an explicit
+    # test keeps it from passing unseen; the error names its first t
+    if chunk is not None:
+        monkeypatch.setattr(curvature, "_CHUNK_ROWS", chunk)
+    so3 = subgroup_from_selector("so:3")
+    spec = geodesics.SubgroupSpec(
+        name="SO(3)", n=3, algebra_defect=so3.algebra_defect,
+        group_defect=lambda g: bad if g[0, 0] < 0.0 else so3.group_defect(g),
+        transpose_invariant=True, project=so3.project)
+    with pytest.raises(Overflow, match=r"subgroup defect at t = 1\.2 is not finite"):
+        totally_geodesic_check(spec, 1.5 * SKEW_3, t_max=2.0, steps=6)
+
+
 def test_tangent_not_in_algebra():
     with pytest.raises(TangentNotInAlgebra):
         totally_geodesic_check(subgroup_from_selector("so:3"), SYM_3)
