@@ -58,12 +58,8 @@ class CartanStructure:
 
     def b_theta(self, u, v) -> float:
         """Derived inner product -B(u, theta v): the metric everything
-        downstream uses. DimensionMismatch for a stack."""
-        u, v = np.asarray(u), np.asarray(v)
-        if u.ndim != 2 or v.ndim != 2:
-            raise DimensionMismatch(
-                f"b_theta takes two matrices, got shapes {u.shape} and {v.shape}")
-        return float(self.b_theta_stack(u, v))
+        downstream uses. DimensionMismatch unless u and v are members."""
+        return float(self.b_theta_stack(self.check_member(u), self.check_member(v)))
 
     def b_theta_stack(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """b_theta slice by slice on two stacks of matrices, unchecked: an
@@ -71,9 +67,6 @@ class CartanStructure:
         bit-equal to b_theta of its slices."""
         # 0.0 - x is -x for every x but +0.0, which it keeps unsigned
         return 0.0 - _trace_form(u, self.theta(v))
-
-    def norm(self, u) -> float:
-        return float(np.sqrt(max(self.b_theta(u, u), 0.0)))
 
     def check_member(self, u, stack: bool = False) -> np.ndarray:
         """u as an ndarray; DimensionMismatch unless it is an n x n matrix
@@ -86,6 +79,13 @@ class CartanStructure:
             raise DimensionMismatch(
                 f"{shape} {field_of(u)} matrix does not belong to {self.name}")
         return u
+
+    def check_stacks(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """check_member(stack=True) of u and v, which must have one shape."""
+        u, v = self.check_member(u, stack=True), self.check_member(v, stack=True)
+        if u.shape != v.shape:
+            raise DimensionMismatch(f"u and v differ in shape: {u.shape}, {v.shape}")
+        return u, v
 
 
 @dataclass(frozen=True)

@@ -135,11 +135,9 @@ def sections(s: CartanStructure, u, v) -> tuple[SectionReport, np.ndarray]:
     for a row on which sectional does, so for any non-finite row, and
     DimensionMismatch unless u and v are stacks of one shape over s.
     """
-    u, v = s.check_member(u, stack=True), s.check_member(v, stack=True)
-    if u.ndim != 3 or u.shape != v.shape:
-        raise DimensionMismatch(
-            f"sections takes two (m, n, n) stacks of one shape, got shapes "
-            f"{u.shape} and {v.shape}")
+    u, v = s.check_stacks(u, v)
+    if u.ndim != 3:
+        raise DimensionMismatch(f"sections takes (m, n, n) stacks, got {u.shape}")
     fields, degenerate, _ = _section(s, u, v)
     return SectionReport(*fields), degenerate
 
@@ -204,7 +202,7 @@ def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:
         cu = "g"
 
     def nsq(x: np.ndarray) -> float:
-        return s.b_theta(x, x)
+        return s.b_theta_stack(x, x)
 
     if cu == "g":
         pu = theta_part(s, u, "p")
@@ -218,39 +216,43 @@ def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:
     else:
         # k_k, p_k and k_p all carry the coefficient +1/4
         value = 0.25 * nsq(bracket(u, v))
-    return value, f"{cu}_{cv}"
+    return float(value), f"{cu}_{cv}"
 
 
-def quartic_commuting(s: CartanStructure, u, v) -> float:
-    """Quartic form for a commuting pair: -4 ||[u1, v1]||^2.
+def quartic_commuting(s: CartanStructure, u, v):
+    """Quartic form for a commuting pair: -4 ||[u1, v1]||^2, row by row on
+    two (..., n, n) stacks of one shape (a float for one pair).
 
-    Raises NotCommuting when ||[u, v]|| > COMMUTING_RTOL * (||u|| ||v|| + 1).
-    The value agrees with quartic(s, u, v) whenever the precondition holds.
+    Raises NotCommuting, naming the first such row of a stack, when
+    ||[u, v]|| > COMMUTING_RTOL * (||u|| ||v|| + 1). The value agrees with
+    quartic(s, u, v) whenever the precondition holds.
     """
-    u, v = s.check_member(u), s.check_member(v)
-    bn = s.norm(bracket(u, v))
-    allowed = COMMUTING_RTOL * (s.norm(u) * s.norm(v) + 1.0)
-    if bn > allowed:
-        raise NotCommuting(
-            f"||[u, v]|| = {bn:.3g} exceeds {allowed:.3g}; pair does not commute")
+    u, v = s.check_stacks(u, v)
+    bn, nu, nv = (np.sqrt(np.maximum(s.b_theta_stack(x, x), 0.0))
+                  for x in (bracket(u, v), u, v))
+    allowed = COMMUTING_RTOL * (nu * nv + 1.0)
+    if (bn > allowed).any():
+        i = np.argmax(bn > allowed)
+        raise NotCommuting((f"row {i}: " if bn.ndim else "") +
+                           f"||[u, v]|| = {bn.flat[i]:.3g} exceeds "
+                           f"{allowed.flat[i]:.3g}; pair does not commute")
     b11 = bracket(theta_part(s, u, "p"), theta_part(s, v, "p"))
-    return 0.0 - 4.0 * s.b_theta(b11, b11)
+    q = 0.0 - 4.0 * s.b_theta_stack(b11, b11)
+    return float(q) if q.ndim == 0 else q
 
 
-def bracket_norm_identity_gap(s: CartanStructure, u, v) -> float:
+def bracket_norm_identity_gap(s: CartanStructure, u, v):
     """LHS - RHS of the commutator-norm decomposition
 
         ||[u,v]||^2 = ||[u,v1]||^2 + ||[u,v2]||^2 - 2 <[v1,v2], [u1,u2]>
 
-    (a diagnostic; the gap should vanish to rounding on any inputs)."""
-    u, v = s.check_member(u), s.check_member(v)
+    (a diagnostic; the gap should vanish to rounding on any inputs). Row by
+    row on two (..., n, n) stacks of one shape, as quartic_commuting."""
+    u, v = s.check_stacks(u, v)
     u1, v1 = theta_part(s, u, "p"), theta_part(s, v, "p")
     u2, v2 = u - u1, v - v1
-
-    def nsq(x: np.ndarray) -> float:
-        return s.b_theta(x, x)
-
-    lhs = nsq(bracket(u, v))
-    rhs = (nsq(bracket(u, v1)) + nsq(bracket(u, v2))
-           - 2.0 * s.b_theta(bracket(v1, v2), bracket(u1, u2)))
-    return lhs - rhs
+    buv, buv1, buv2 = bracket(u, v), bracket(u, v1), bracket(u, v2)
+    b = s.b_theta_stack
+    gap = (b(buv, buv) - (b(buv1, buv1) + b(buv2, buv2)
+                          - 2.0 * b(bracket(v1, v2), bracket(u1, u2))))
+    return float(gap) if gap.ndim == 0 else gap

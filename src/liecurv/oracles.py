@@ -54,7 +54,7 @@ def _frame(s: CartanStructure, basis: Sequence[np.ndarray]) -> _Frame:
     # time so the (d, d, n, n) bracket stack is never held whole
     C = np.empty((d, d * d))
     for i in range(d):
-        C[i] = _coords(F, bracket(B[i], B)).ravel()
+        C[i] = np.einsum("...ij,kji->...k", bracket(B[i], B), F).real.ravel()
     for a in (B, F, C):
         a.setflags(write=False)  # the default frame is shared through the cache
     return _Frame(B, F, C)
@@ -76,20 +76,25 @@ def _frame_for(s: CartanStructure,
 
 
 def _coords(F: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """<a, e_k> = Re tr(a F_k) for every k; a may carry leading axes."""
-    return np.einsum("...ij,kji->...k", a, F).real
+    """<a, e_k> = Re tr(a F_k) for every k, as a (..., 1, d) row. a may carry
+    leading axes; each of its matrices takes its own vector-matrix product,
+    so a row does not depend on the stack around it."""
+    n2 = F.shape[-1] ** 2
+    return (a.reshape(*a.shape[:-2], 1, n2)
+            @ F.swapaxes(-1, -2).reshape(len(F), n2).T).real
 
 
 def _ad(C: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M_x with M_x[j, k] = <[x, e_j], e_k>."""
-    d = len(x)
-    return (x @ C).reshape(d, d)
+    """M_x with M_x[j, k] = <[x, e_j], e_k>, row by row on (..., 1, d) rows."""
+    d = x.shape[-1]
+    return (x @ C).reshape(*x.shape[:-2], d, d)
 
 
 def _nabla(x: np.ndarray, y: np.ndarray, mx: np.ndarray,
            my: np.ndarray) -> np.ndarray:
-    """Coordinates of nabla_x y from M_x and M_y: 1/2 (y M_x - M_y x - M_x y)."""
-    return 0.5 * (y @ mx - my @ x - mx @ y)
+    """Coordinates of nabla_x y from M_x and M_y, on (..., 1, d) rows:
+    1/2 (y M_x - x M_y^T - y M_x^T)."""
+    return 0.5 * (y @ mx - x @ my.swapaxes(-1, -2) - y @ mx.swapaxes(-1, -2))
 
 
 def nabla_from_metric(s: CartanStructure, u, v,
@@ -100,25 +105,36 @@ def nabla_from_metric(s: CartanStructure, u, v,
     u, v = s.check_member(u), s.check_member(v)
     x, y = _coords(frame.F, u), _coords(frame.F, v)
     mx, my = _ad(frame.C, x), _ad(frame.C, y)
-    return np.tensordot(_nabla(x, y, mx, my), frame.B, 1)
+    return np.tensordot(_nabla(x, y, mx, my)[0], frame.B, 1)
+
+
+# each (rows, d, d) temporary of quartic_from_definition stays under this size
+_BLOCK_BYTES = 256 * 1024
 
 
 def quartic_from_definition(s: CartanStructure, u, v,
-                            basis: Sequence[np.ndarray] | None = None) -> float:
+                            basis: Sequence[np.ndarray] | None = None):
     """<R(u,v)v, u> = <nabla_u nabla_v v - nabla_v nabla_u v - nabla_[u,v] v, u>
-    with every nabla taken from the metric identity."""
+    with every nabla taken from the metric identity. Row by row on two
+    (..., n, n) stacks of one shape: one value per row (a float for one
+    pair), each bit-equal to its own call."""
     frame = _frame_for(s, basis)
-    u, v = s.check_member(u), s.check_member(v)
-    C = frame.C
-    x, y = _coords(frame.F, u), _coords(frame.F, v)
-    mx, my = _ad(C, x), _ad(C, y)
-    nabla_vv = _nabla(y, y, my, my)
-    nabla_uv = _nabla(x, y, mx, my)
-    bracket_uv = y @ mx
-    r = (_nabla(x, nabla_vv, mx, _ad(C, nabla_vv))
-         - _nabla(y, nabla_uv, my, _ad(C, nabla_uv))
-         - _nabla(bracket_uv, y, _ad(C, bracket_uv), my))
-    return float(r @ x)
+    u, v = s.check_stacks(u, v)
+    C, d = frame.C, len(frame.C)
+    x, y = (_coords(frame.F, w).reshape(-1, 1, d) for w in (u, v))
+    q = np.empty(len(x))
+    step = max(1, _BLOCK_BYTES // (8 * d * d))
+    for i in range(0, len(x), step):
+        xb, yb = x[i:i + step], y[i:i + step]
+        mx, my = _ad(C, xb), _ad(C, yb)
+        nabla_vv = _nabla(yb, yb, my, my)
+        nabla_uv = _nabla(xb, yb, mx, my)
+        bracket_uv = yb @ mx
+        r = (_nabla(xb, nabla_vv, mx, _ad(C, nabla_vv))
+             - _nabla(yb, nabla_uv, my, _ad(C, nabla_uv))
+             - _nabla(bracket_uv, yb, _ad(C, bracket_uv), my))
+        q[i:i + step] = (r @ xb.swapaxes(-1, -2))[:, 0, 0]
+    return float(q[0]) if u.ndim == 2 else q.reshape(u.shape[:-2])
 
 
 def riemann_from_metric(s: CartanStructure,

@@ -15,8 +15,8 @@ gl:real:3 and gl:complex:2) always run on their fixed structures; the
 generic suites run on the structure passed in (default gl:real:3, plus a
 multi-size sweep for the oracle and Riemann suites when no structure is
 forced). Sampled suites draw stacks of at most 1024 rows
-(curvature._CHUNK_ROWS) in pair-by-pair order and take closed-form quartics
-from sections; their references stay one call per pair.
+(curvature._CHUNK_ROWS) in pair-by-pair order, take closed-form quartics
+from sections and pass the same stacks to each reference but quartic_special.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def _oracle_suite(plan: tuple[CartanStructure, ...], rng: np.random.Generator,
     for s in plan:
         local = max(
             rel_gap(sections(s, u, v)[0].quartic,
-                    [quartic_from_definition(s, *uv) for uv in zip(u, v)]).max()
+                    quartic_from_definition(s, u, v)).max()
             for u, v in _draws(s, rng, trials, "gg"))
         detail[s.name] = {"sections": trials, "max_rel_gap": float(local)}
     worst = max(d["max_rel_gap"] for d in detail.values())
@@ -293,7 +293,7 @@ def _sign_suites(s: CartanStructure, rng: np.random.Generator,
 def _bracket_claim_suite(s: CartanStructure, rng: np.random.Generator,
                          trials: int) -> SuiteResult:
     worst = max(
-        (np.abs([bracket_norm_identity_gap(s, *uv) for uv in zip(u, v)])
+        (np.abs(bracket_norm_identity_gap(s, u, v))
          / (s.b_theta_stack(u, u) * s.b_theta_stack(v, v) + 1.0)).max()
         for u, v in _draws(s, rng, trials, "gg"))
     return _suite("bracket_norm_claim", worst, BRACKET_CLAIM_BOUND,
@@ -305,7 +305,7 @@ def _commuting_suite(s: CartanStructure, seed: int, trials: int) -> SuiteResult:
     target = s if s.n >= 2 else replace(s, n=2)
     worst = max(
         rel_gap(sections(target, u, v)[0].quartic,
-                [quartic_commuting(target, *uv) for uv in zip(u, v)]).max()
+                quartic_commuting(target, u, v)).max()
         for u, v in _commuting_pairs(seed, trials, target.n, field=target.field))
     return _suite("commuting_theorem", worst, SIGN_BOUND,
                   detail={"pairs": trials, "n": target.n})

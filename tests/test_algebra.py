@@ -287,7 +287,7 @@ EDGE_CASES = {
     "matrix_exp": lambda m: matrix_exp(m["u"]),
     "matrix_to_json": lambda m: matrix_to_json(m["u"]),
     "b_theta": lambda m: S3.b_theta(m["u"], m["v"]),
-    "structure_norm": lambda m: S3.norm(m["u"]),
+    "structure_norm": lambda m: math.sqrt(S3.b_theta(m["u"], m["u"])),
     "check_member": lambda m: S3.check_member(m["u"]),
     "theta_split": lambda m: theta_split(S3, m["u"]),
     "pure_class": lambda m: (pure_class(S3, m["p"]), pure_class(S3, m["k"])),

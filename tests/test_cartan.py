@@ -195,9 +195,18 @@ def test_from_selector():
             from_selector(text)
 
 
+def test_b_theta_checks_membership():
+    # a foreign size, a foreign field, and a member against a foreign size
+    s = gl_real(2)
+    for u, v in ((np.eye(3), np.eye(3)), (np.eye(2), 1j * np.eye(2)),
+                 (np.eye(2), [[1.0]])):
+        with pytest.raises(DimensionMismatch):
+            s.b_theta(u, v)
+
+
 def test_structure_norm():
     s = gl_real(2)
-    assert s.norm(np.eye(2)) == pytest.approx(math.sqrt(2.0))
+    assert math.sqrt(s.b_theta(np.eye(2), np.eye(2))) == pytest.approx(math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("s", [gl_real(3), gl_complex(2)])

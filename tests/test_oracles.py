@@ -1,20 +1,23 @@
 import ast
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liecurv.cartan
 import liecurv.oracles
 import liecurv.verify
-from liecurv import (COMPLEX, REAL, DimensionMismatch, IncompleteBasis,
-                     MatrixElement, bracket, commuting_pair, gl_complex,
+from liecurv import (COMPLEX, REAL, CartanStructure, DimensionMismatch,
+                     IncompleteBasis, MatrixElement, NotCommuting, bracket,
+                     bracket_norm_identity_gap, commuting_pair, gl_complex,
                      gl_real, nabla, nabla_from_metric, quartic,
-                     quartic_from_definition, random_matrix,
-                     riemann_from_metric, standard_basis, theta_split)
+                     quartic_commuting, quartic_from_definition,
+                     random_matrix, riemann_from_metric, standard_basis,
+                     theta_split)
 from liecurv.oracles import _default_frame, _frame
 from liecurv.verify import rel_gap, run_verify
 
@@ -337,3 +340,90 @@ def test_commuting_theorem_keeps_the_field_of_a_1x1_structure(monkeypatch):
     report = run_verify(gl_complex(1), seed=42, trials=2)
     assert drawn[42] == drawn[43] == (2, COMPLEX)
     assert report.suite("commuting_theorem").passed
+
+
+# -- the references on stacks ---------------------------------------------------
+
+
+def _rows(fn, u, v) -> list[str]:
+    """fn on each pair of rows of two (..., n, n) stacks, as hex strings."""
+    n = u.shape[-1]
+    values = [fn(a, b) for a, b in zip(u.reshape(-1, n, n), v.reshape(-1, n, n))]
+    assert all(type(x) is float for x in values)
+    return [x.hex() for x in values]
+
+
+# a leading shape (m,) or (m, k)
+LEADING = st.one_of(st.tuples(st.integers(1, 30)),
+                    st.tuples(st.integers(1, 10), st.integers(1, 3)))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("n", range(1, 10))
+@settings(database=None, derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=LEADING, rotate=st.booleans())
+@example(seed=5, shape=(26,), rotate=True)
+def test_stacked_references_rows_are_bit_equal_to_one_pair_calls(
+        n, field, seed, shape, rotate):
+    s = CartanStructure(n, field)
+    # a block holds 25 rows of gl(6, R), 4 of gl(9, R) and 1 of gl(9, C);
+    # rows past two blocks add time, not cases
+    step = liecurv.oracles._BLOCK_BYTES // (8 * s.real_dim ** 2)
+    k = math.prod(shape[1:])
+    shape = (max(1, min(shape[0], (2 * step + 1) // k)), *shape[1:])
+    rng = np.random.default_rng(seed)
+    u, v = random_matrix(rng, n, field, (2, *shape))
+    # a caller's basis builds its frame on every call, once per row here
+    basis = _rotated_basis(s, seed) if rotate and s.real_dim <= 36 else None
+    references = [
+        lambda a, b: quartic_from_definition(s, a, b, basis),
+        lambda a, b: bracket_norm_identity_gap(s, a, b)]
+    for fn in references:
+        stacked = fn(u, v)
+        assert stacked.shape == shape
+        assert [x.hex() for x in stacked.ravel().tolist()] == _rows(fn, u, v)
+    if n >= 2:
+        pairs = [commuting_pair(seed % 1000 + i, n, field)
+                 for i in range(math.prod(shape))]
+        cu, cv = (np.stack(x).reshape(*shape, n, n) for x in zip(*pairs))
+        fn = lambda a, b: quartic_commuting(s, a, b)
+        stacked = fn(cu, cv)
+        assert stacked.shape == shape
+        assert [x.hex() for x in stacked.ravel().tolist()] == _rows(fn, cu, cv)
+
+
+@pytest.mark.parametrize("fn", [quartic_from_definition, quartic_commuting,
+                                bracket_norm_identity_gap])
+def test_stacked_references_take_stacks_of_one_shape(fn):
+    s = gl_real(2)
+    stack = random_matrix(np.random.default_rng(3), 2, REAL, (3,))
+    for u, v in ((stack, stack[:2]), (stack[0], stack[:1]),
+                 (stack[:2], stack[:2, None])):
+        with pytest.raises(DimensionMismatch):
+            fn(s, u, v)
+
+
+def test_quartic_commuting_names_the_first_row_that_does_not_commute():
+    s = gl_real(2)
+    u, v = (np.stack(x) for x in zip(*(commuting_pair(i, 2) for i in range(5))))
+    u[3], v[3] = [[1.0, 2.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]
+    u[4] = u[3]
+    with pytest.raises(NotCommuting, match=r"^row 3: \|\|\[u, v\]\|\| = "):
+        quartic_commuting(s, u, v)
+    with pytest.raises(NotCommuting, match=r"^\|\|\[u, v\]\|\| = "):
+        quartic_commuting(s, u[3], v[3])
+    assert quartic_commuting(s, u[:3], v[:3]).shape == (3,)
+
+
+def test_stacked_oracle_keeps_its_temporaries_in_blocks():
+    # 1024 rows of gl(6, R) hold 10 MB in each (rows, d, d) temporary
+    s = gl_real(6)
+    u, v = random_matrix(np.random.default_rng(5), 6, REAL, (2, 1024))
+    quartic_from_definition(s, u[0], v[0])  # builds the cached frame
+    tracemalloc.start()
+    try:
+        quartic_from_definition(s, u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
