@@ -8,14 +8,11 @@ built on the handful of primitives in this module.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, Overflow
 
@@ -71,69 +68,45 @@ def bracket(u, v) -> np.ndarray:
     return u @ v - v @ u
 
 
-# Thread-count setters of OpenBLAS, as the scipy and numpy wheels and as
-# plain builds export them; the getter has the same name with "get".
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads",
-                     "scipy_openblas_set_num_threads64_",
-                     "openblas_set_num_threads")
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS loaded in this
-    process, found in the Linux process map; empty where there is none."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps
-                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SETTERS:
-            if hasattr(lib, name):
-                controls.append((getattr(lib, name.replace("_set_", "_get_")),
-                                 getattr(lib, name)))
-                break
-    return tuple(controls)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore its count.
-
-    scipy's expm solves its n x n Pade system with LAPACK getrs, which
-    OpenBLAS hands to its thread pool even for n = 2; the helper thread then
-    spins on a second core between calls, and every call waits for it, so
-    the time of a call depends on that core being free. One thread gives
-    bit-equal results without the spinning and the waits.
-    """
-    saved = [(get(), set_) for get, set_ in _openblas_thread_controls()]
-    for _, set_ in saved:
-        set_(1)
-    try:
-        yield
-    finally:
-        for count, set_ in saved:
-            set_(count)
+# Pade-13 numerator coefficients (26-k)! 13! / (26! k! (13-k)!), so that
+# p(0) = 1 and exp(0) is exactly I, and the 1-norm up to which degree 13
+# needs no scaling (Higham 2005, "The scaling and squaring method for the
+# matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26)
+_PADE13 = tuple(math.factorial(26 - k) * math.factorial(13)
+                / (math.factorial(26) * math.factorial(k) * math.factorial(13 - k))
+                for k in range(14))
+_THETA13 = 5.371920351148152
 
 
 def matrix_exp(u) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a degree-13 Pade
-    approximant (relative accuracy ~1e-13 for ||u|| <= 10).
+    """Matrix exponential by scaling and squaring with the degree-13 Pade
+    approximant of Higham 2005, batched over a stack.
 
-    u is one matrix or a stack of them on its last two axes; each slice of
-    a stack is bit-equal to its own call. Raises Overflow if the result
-    leaves the representable range, naming the norm of the first slice that
-    does.
+    u is one matrix or a stack of them on its last two axes. Each slice is
+    scaled by its own 2^-s with ||u / 2^s||_1 <= 5.37, so a slice is
+    bit-equal to its own call. Raises Overflow if the result leaves the
+    representable range, naming the norm of the first slice that does.
     """
     u = np.asarray(u)
-    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
-        out = scipy.linalg.expm(u)
+    c = _PADE13
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm1 = np.abs(u).sum(axis=-2).max(axis=-1)
+        bad = ~np.isfinite(norm1)
+        s = np.where(bad, 0, np.maximum(np.frexp(norm1 / _THETA13)[1], 0))
+        a = np.where(bad[..., None, None], 0.0,
+                     u * np.ldexp(1.0, -s)[..., None, None])
+        eye = np.eye(u.shape[-1])
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        odd = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
+                   + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
+        even = (a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
+                + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye)
+        out = np.linalg.solve(even - odd, even + odd)
+        for k in range(int(s.max(initial=0))):
+            out = np.where((k < s)[..., None, None], out @ out, out)
+        out[bad] = np.nan
         if not np.all(np.isfinite(out)):
             finite = np.isfinite(out).all(axis=(-2, -1)).ravel()
             first = u.reshape(-1, *u.shape[-2:])[np.argmin(finite)]
@@ -169,9 +142,9 @@ def matrix_to_json(u) -> dict:
     u = np.asarray(u)
     field = field_of(u)
     if field == COMPLEX:
-        entries: list[Any] = [[float(z.real), float(z.imag)] for z in u.flat]
+        entries = np.stack([u.real, u.imag], -1).reshape(-1, 2).tolist()
     else:
-        entries = [float(x) for x in u.flat]
+        entries = u.ravel().astype(float).tolist()
     return {"n": u.shape[0], "field": field, "entries": entries}
 
 

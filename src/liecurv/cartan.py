@@ -237,7 +237,8 @@ def validate(s: CartanStructure, trials: int = 100,
         return gap / (norm(x) * norm(y) * norm(z) + 1e-14)
     errors["bform_ad_invariance"] = worst(ad_invariance)
 
-    gram = _basis_gram(s)
+    basis = np.stack(standard_basis(s))
+    gram = s.b_theta_stack(basis[:, None], basis[None])
     min_eig = float(np.linalg.eigvalsh((gram + gram.T) / 2.0).min())
     sym_gap = float(np.abs(gram - gram.T).max())
     errors["b_theta_positive_definite_basis"] = max(0.0, 1.0 - min_eig) + sym_gap
@@ -262,11 +263,3 @@ def validate(s: CartanStructure, trials: int = 100,
     return {name: float(err) / tolerance.get(name, AXIOM_TOL)
             for name, err in errors.items()}
 
-
-def _basis_gram(s: CartanStructure) -> np.ndarray:
-    """b_theta of every pair of cells, as b_theta_stack computes it but with
-    theta taken one cell at a time: the structure under validation need not
-    take a stack."""
-    basis = np.stack(standard_basis(s))
-    thetas = np.stack([s.theta(b) for b in basis])
-    return 0.0 - _trace_form(basis[:, None], thetas[None])

@@ -126,10 +126,11 @@ def test_validate_gl_complex_passes():
 
 def test_validate_flags_corrupted_involution():
     # +transpose makes B_theta(u, u) = -tr(u u^T) negative and reverses the
-    # bracket; the validator must report both failures rather than raise
+    # bracket; the validator must report both failures rather than raise.
+    # Like theta itself, the override works slice by slice on a stack.
     class Bad(CartanStructure):
         def theta(self, u):
-            return u.transpose()
+            return u.swapaxes(-1, -2)
 
     ratios = validate(Bad(2, REAL), trials=50)
     failed = {name for name, ratio in ratios.items() if not ratio <= 1.0}
@@ -143,7 +144,7 @@ def test_validate_rejects_a_basis_that_is_not_orthonormal():
     # reads coordinates off. The basis ratio is (1 - 1/2) / 1e-9.
     class Half(CartanStructure):
         def theta(self, u):
-            return -0.5 * np.conj(u).T
+            return -0.5 * np.conj(u).swapaxes(-1, -2)
 
     ratios = validate(Half(2, REAL), trials=10)
     assert ratios["b_theta_positive_definite_basis"] > 1.0

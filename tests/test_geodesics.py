@@ -88,7 +88,7 @@ def test_geodesic_point_is_the_real_closed_form_on_gl_real():
         u = random_matrix(rng, 3)
         t = float(rng.uniform(0.0, 2.0))
         assert np.array_equal(geodesic_point(s, u, t),
-                              expm(t * u.T) @ expm(t * (u - u.T)))
+                              matrix_exp(t * u.T) @ matrix_exp(t * (u - u.T)))
 
 
 def test_geodesic_residual_symmetric_tangent():
