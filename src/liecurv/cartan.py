@@ -118,16 +118,10 @@ def standard_basis(s: CartanStructure) -> tuple[np.ndarray, ...]:
     The cells are exactly orthonormal under B_theta (the Frobenius inner
     product), so no re-orthonormalization is applied.
     """
-    dtype = np.complex128 if s.field == COMPLEX else np.float64
-    units = (1.0, 1j) if s.field == COMPLEX else (1.0,)
-    elems = []
-    for unit in units:
-        for i in range(s.n):
-            for j in range(s.n):
-                e = np.zeros((s.n, s.n), dtype=dtype)
-                e[i, j] = unit
-                elems.append(e)
-    return tuple(elems)
+    cells = np.eye(s.n * s.n).reshape(-1, s.n, s.n)
+    if s.field == COMPLEX:
+        cells = np.concatenate([cells, 1j * cells])
+    return tuple(cells)
 
 
 def from_selector(text: str) -> CartanStructure:
@@ -207,59 +201,45 @@ def validate(s: CartanStructure, trials: int = 100,
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
-    rng = np.random.default_rng(seed)
-    samples = [random_matrix(rng, s.n, s.field) for _ in range(trials)]
+    x = random_matrix(np.random.default_rng(seed), s.n, s.field, (trials,))
+    # the pairs (x0, x1), (x2, x3), ...: an odd last sample has no partner
+    u, v = x[0:trials - 1:2], x[1::2]
+    y, z = x[0], x[-1]
+    p = theta_part(s, x, "p")
 
-    def worst(fn) -> float:
-        return max(fn(u) for u in samples)
+    def norm(a: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(a, axis=(-2, -1))
 
-    def worst_pair(fn) -> float:
-        it = iter(samples)
-        return max(fn(a, b) for a, b in zip(it, it))
-
-    norm = np.linalg.norm
-    errors = {}
-
-    errors["theta_involution"] = worst(
-        lambda u: norm(s.theta(s.theta(u)) - u) / (norm(u) + 1e-14))
-
-    errors["theta_bracket_automorphism"] = worst_pair(
-        lambda u, v: norm(s.theta(bracket(u, v)) - bracket(s.theta(u), s.theta(v)))
-        / (norm(u) * norm(v) + 1e-14))
-
-    errors["bform_symmetry"] = worst_pair(
-        lambda u, v: abs(_trace_form(u, v) - _trace_form(v, u))
-        / (norm(u) * norm(v) + 1e-14))
-
-    def ad_invariance(u: np.ndarray) -> float:
-        x, y, z = u, samples[0], samples[-1]
-        gap = abs(_trace_form(bracket(x, y), z) + _trace_form(y, bracket(x, z)))
-        return gap / (norm(x) * norm(y) * norm(z) + 1e-14)
-    errors["bform_ad_invariance"] = worst(ad_invariance)
+    def inclusion(part_a: str, part_b: str, off_part: str) -> np.ndarray:
+        a, b = theta_part(s, u, part_a), theta_part(s, v, part_b)
+        off = theta_part(s, bracket(a, b), off_part)
+        return norm(off) / (norm(a) * norm(b) + 1e-14)
 
     basis = np.stack(standard_basis(s))
     gram = s.b_theta_stack(basis[:, None], basis[None])
     min_eig = float(np.linalg.eigvalsh((gram + gram.T) / 2.0).min())
     sym_gap = float(np.abs(gram - gram.T).max())
-    errors["b_theta_positive_definite_basis"] = max(0.0, 1.0 - min_eig) + sym_gap
 
-    def split_orthogonality(u: np.ndarray) -> float:
-        p = theta_part(s, u, "p")
-        return abs(s.b_theta(p, u - p)) / (norm(u) ** 2 + 1e-14)
-    errors["split_orthogonality"] = worst(split_orthogonality)
-
-    def inclusion(part_a: str, part_b: str, off_part: str) -> float:
-        def err(u, v):
-            a, b = theta_part(s, u, part_a), theta_part(s, v, part_b)
-            off = theta_part(s, bracket(a, b), off_part)
-            return norm(off) / (norm(a) * norm(b) + 1e-14)
-        return worst_pair(err)
-
-    errors["inclusion_kk_in_k"] = inclusion("k", "k", "p")
-    errors["inclusion_pp_in_k"] = inclusion("p", "p", "p")
-    errors["inclusion_kp_in_p"] = inclusion("k", "p", "k")
-
+    errors = {
+        "theta_involution":
+            norm(s.theta(s.theta(x)) - x) / (norm(x) + 1e-14),
+        "theta_bracket_automorphism":
+            norm(s.theta(bracket(u, v)) - bracket(s.theta(u), s.theta(v)))
+            / (norm(u) * norm(v) + 1e-14),
+        "bform_symmetry":
+            np.abs(_trace_form(u, v) - _trace_form(v, u))
+            / (norm(u) * norm(v) + 1e-14),
+        "bform_ad_invariance":
+            np.abs(_trace_form(bracket(x, y), z) + _trace_form(y, bracket(x, z)))
+            / (norm(x) * norm(y) * norm(z) + 1e-14),
+        "b_theta_positive_definite_basis": max(0.0, 1.0 - min_eig) + sym_gap,
+        "split_orthogonality":
+            np.abs(s.b_theta_stack(p, x - p)) / (norm(x) ** 2 + 1e-14),
+        "inclusion_kk_in_k": inclusion("k", "k", "p"),
+        "inclusion_pp_in_k": inclusion("p", "p", "p"),
+        "inclusion_kp_in_p": inclusion("k", "p", "k"),
+    }
     tolerance = {"b_theta_positive_definite_basis": BASIS_TOL}
-    return {name: float(err) / tolerance.get(name, AXIOM_TOL)
+    return {name: float(np.max(err)) / tolerance.get(name, AXIOM_TOL)
             for name, err in errors.items()}
 

@@ -167,7 +167,9 @@ class SubgroupSpec:
     group_defect(g) vanishes exactly on members of the subgroup,
     algebra_defect(u) exactly on its tangent algebra; both are >= 0.
     project sends an arbitrary matrix to the tangent algebra (used to build
-    admissible test tangents). All three take array-likes.
+    admissible test tangents). All three take a (..., n, n) stack and work
+    slice by slice: the defects return one value per slice (0-d for one
+    matrix), each equal to the call on its own slice.
     transpose_invariant records whether the subgroup is stable under
     transposition, the hypothesis of the totally-geodesic theorem; UT(n) is
     shipped with the flag false as a negative control.
@@ -175,8 +177,8 @@ class SubgroupSpec:
 
     name: str
     n: int
-    group_defect: Callable[[np.ndarray], float]
-    algebra_defect: Callable[[np.ndarray], float]
+    group_defect: Callable[[np.ndarray], np.ndarray]
+    algebra_defect: Callable[[np.ndarray], np.ndarray]
     transpose_invariant: bool
     project: Callable[[np.ndarray], np.ndarray]
 
@@ -215,20 +217,21 @@ def subgroup_from_selector(text: str) -> SubgroupSpec:
         eta = np.diag(np.concatenate([np.ones(p), -np.ones(n - p)]))
         return SubgroupSpec(
             name=f"SO({n})" if key == "so" else f"O({p},{n - p})", n=n,
-            group_defect=lambda g: float(
-                np.linalg.norm(np.transpose(g) @ eta @ g - eta)),
-            algebra_defect=lambda u: float(
-                np.linalg.norm(np.transpose(u) @ eta + eta @ u)),
+            group_defect=lambda g: np.linalg.norm(
+                np.swapaxes(g, -1, -2) @ eta @ g - eta, axis=(-2, -1)),
+            algebra_defect=lambda u: np.linalg.norm(
+                np.swapaxes(u, -1, -2) @ eta + eta @ u, axis=(-2, -1)),
             transpose_invariant=True,
-            project=lambda r: (r - eta @ np.transpose(r) @ eta) / 2.0)
+            project=lambda r: (r - eta @ np.swapaxes(r, -1, -2) @ eta) / 2.0)
     if key == "sl":
+        trace = lambda a: np.trace(a, axis1=-2, axis2=-1)
         return SubgroupSpec(
             name=f"SL({n})", n=n,
-            group_defect=lambda g: abs(float(np.linalg.det(g)) - 1.0),
-            algebra_defect=lambda u: abs(float(np.trace(u))),
+            group_defect=lambda g: np.abs(np.linalg.det(g) - 1.0),
+            algebra_defect=lambda u: np.abs(trace(u)),
             transpose_invariant=True,
-            project=lambda r: r - (np.trace(r) / n) * np.eye(n))
-    below_diag_max = lambda g: float(np.abs(np.tril(g, k=-1)).max())
+            project=lambda r: r - (trace(r)[..., None, None] / n) * np.eye(n))
+    below_diag_max = lambda g: np.abs(np.tril(g, k=-1)).max(axis=(-2, -1))
     return SubgroupSpec(
         name=f"UT({n})", n=n,
         group_defect=below_diag_max,
@@ -265,17 +268,19 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
         ts = np.linspace(0.0, t_max, steps)
         max_defect, argmax_t, not_finite = 0.0, 0.0, None
         # the grid goes in chunks of at most _CHUNK_ROWS times, one stack of
-        # exponentials each, which bounds the memory for any steps; an
-        # exponential Overflow names the first failure of a sweep in t, since
-        # the earlier chunks have passed
+        # exponentials and one group_defect call each, which bounds the
+        # memory for any steps; an exponential Overflow names the first
+        # failure of a sweep in t, since the earlier chunks have passed
         for start in range(0, steps, curvature._CHUNK_ROWS):
             chunk = ts[start:start + curvature._CHUNK_ROWS]
-            for t, gamma in zip(chunk, geodesic_point(s, u, chunk)):
-                d = spec.group_defect(gamma)
-                if not_finite is None and not math.isfinite(d):
-                    not_finite = t
-                if d > max_defect:
-                    max_defect, argmax_t = d, float(t)
+            d = spec.group_defect(geodesic_point(s, u, chunk))
+            finite = np.isfinite(d)
+            if not_finite is None and not finite.all():
+                not_finite = chunk[np.argmin(finite)]
+            # the first t of the largest defect, as a sweep in t finds it
+            k = np.argmax(d)
+            if d[k] > max_defect:
+                max_defect, argmax_t = float(d[k]), float(chunk[k])
     # as in geodesic_trace, an exponential that overflows anywhere on the
     # grid comes first, whatever the chunk size
     if not_finite is not None:

@@ -48,7 +48,7 @@ def _check_basis(s: CartanStructure, basis: Sequence[np.ndarray]) -> None:
 
 def _frame(s: CartanStructure, basis: Sequence[np.ndarray]) -> _Frame:
     B = np.stack([np.asarray(e) for e in basis])
-    F = np.stack([-s.theta(e) for e in B])
+    F = -s.theta(B)
     d = len(B)
     # row i holds the coordinates of [e_i, e_j] for every j, one slice at a
     # time so the (d, d, n, n) bracket stack is never held whole

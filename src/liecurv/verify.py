@@ -357,8 +357,10 @@ def _subgroup_suites(rng: np.random.Generator) -> list[SuiteResult]:
                                  ("subgroup_o12", "opq:1,2")):
         spec = subgroup_from_selector(selector)
         worst = 0.0
-        for x in random_matrix(rng, spec.n, shape=(SUBGROUP_TANGENTS,)):
-            u = spec.project(x)
+        tangents = spec.project(
+            random_matrix(rng, spec.n, shape=(SUBGROUP_TANGENTS,)))
+        # one norm per matrix: the norm of a stack sums in another order
+        for u in tangents:
             u_norm = np.linalg.norm(u)
             u = u / u_norm if u_norm > 0 else u
             worst = max(worst, totally_geodesic_check(spec, u, t_max=2.0).max_defect)
@@ -427,9 +429,9 @@ def _velocity_link_suite(rng: np.random.Generator) -> SuiteResult:
     for s in (gl_real(3), gl_complex(2)):
         local = 0.0
         for u in _tangents(s, rng, LINK_TANGENTS):
-            gamma = geodesic_point(s, u, GEODESIC_GRID)
-            fd = (geodesic_point(s, u, GEODESIC_GRID + FD_STEP)
-                  - geodesic_point(s, u, GEODESIC_GRID - FD_STEP)) / (2.0 * FD_STEP)
+            gamma, plus, minus = np.split(geodesic_point(s, u, np.concatenate(
+                [GEODESIC_GRID, GEODESIC_GRID + FD_STEP, GEODESIC_GRID - FD_STEP])), 3)
+            fd = (plus - minus) / (2.0 * FD_STEP)
             gap = (np.linalg.solve(gamma, fd)
                    - geodesic_body_velocity(s, u, GEODESIC_GRID))
             local = max(local, float(np.linalg.norm(gap, axis=(-2, -1)).max()))

@@ -124,31 +124,72 @@ def test_validate_gl_complex_passes():
     assert max(validate(gl_complex(2)).values()) <= 1.0
 
 
-def test_validate_flags_corrupted_involution():
-    # +transpose makes B_theta(u, u) = -tr(u u^T) negative and reverses the
-    # bracket; the validator must report both failures rather than raise.
-    # Like theta itself, the override works slice by slice on a stack.
-    class Bad(CartanStructure):
-        def theta(self, u):
-            return u.swapaxes(-1, -2)
+# corrupted involutions; like theta itself, each works slice by slice on a
+# stack
+class Transposed(CartanStructure):
+    """+transpose: B_theta(u, u) = -tr(u u^T) is negative and the bracket
+    is reversed."""
 
-    ratios = validate(Bad(2, REAL), trials=50)
+    def theta(self, u):
+        return u.swapaxes(-1, -2)
+
+
+class Half(CartanStructure):
+    """-u*/2: B_theta is halved, so the cells are orthogonal with squared
+    norm 1/2, and theta is no involution."""
+
+    def theta(self, u):
+        return -0.5 * np.conj(u).swapaxes(-1, -2)
+
+
+class Twice(CartanStructure):
+    """-2u*: B_theta is doubled, which the basis check accepts."""
+
+    def theta(self, u):
+        return -2.0 * np.conj(u).swapaxes(-1, -2)
+
+
+def test_validate_flags_corrupted_involution():
+    # the validator must report both failures rather than raise
+    ratios = validate(Transposed(2, REAL), trials=50)
     failed = {name for name, ratio in ratios.items() if not ratio <= 1.0}
     assert {"b_theta_positive_definite_basis",
             "theta_bracket_automorphism"} <= failed
 
 
 def test_validate_rejects_a_basis_that_is_not_orthonormal():
-    # theta u = -u*/2 halves B_theta, so the cells are orthogonal with squared
-    # norm 1/2: positive definite, but not the orthonormal frame the oracle
-    # reads coordinates off. The basis ratio is (1 - 1/2) / 1e-9.
-    class Half(CartanStructure):
-        def theta(self, u):
-            return -0.5 * np.conj(u).swapaxes(-1, -2)
-
+    # positive definite, but not the orthonormal frame the oracle reads
+    # coordinates off. The basis ratio is (1 - 1/2) / 1e-9.
     ratios = validate(Half(2, REAL), trials=10)
     assert ratios["b_theta_positive_definite_basis"] > 1.0
     assert ratios["b_theta_positive_definite_basis"] == pytest.approx(5e8)
+
+
+NOT_AN_INVOLUTION = {"theta_involution", "theta_bracket_automorphism",
+                     "split_orthogonality", "inclusion_kk_in_k",
+                     "inclusion_pp_in_k", "inclusion_kp_in_p"}
+TRANSPOSED_FLAGS = {"b_theta_positive_definite_basis",
+                    "theta_bracket_automorphism", "inclusion_kk_in_k",
+                    "inclusion_kp_in_p"}
+
+
+# the odd counts leave the last sample without a partner in the pair axioms
+@pytest.mark.parametrize("trials", [2, 3, 7])
+@pytest.mark.parametrize("s, flagged", [
+    (Transposed(2, REAL), TRANSPOSED_FLAGS),
+    (Transposed(2, COMPLEX), TRANSPOSED_FLAGS),
+    # [p, p] of the skew p of gl(2, R) vanishes; not so at n = 3
+    (Transposed(3, REAL), TRANSPOSED_FLAGS | {"inclusion_pp_in_k"}),
+    (Half(2, REAL), NOT_AN_INVOLUTION | {"b_theta_positive_definite_basis"}),
+    (Half(2, COMPLEX), NOT_AN_INVOLUTION | {"b_theta_positive_definite_basis"}),
+    (Twice(2, REAL), NOT_AN_INVOLUTION),
+    (Twice(2, COMPLEX), NOT_AN_INVOLUTION),
+], ids=["transposed-real-2", "transposed-complex-2", "transposed-real-3",
+        "half-real-2", "half-complex-2", "twice-real-2", "twice-complex-2"])
+def test_validate_flags_exactly_the_broken_axioms(s, flagged, trials):
+    ratios = validate(s, trials=trials)
+    assert {name for name, ratio in ratios.items()
+            if not ratio <= 1.0} == flagged
 
 
 def test_validate_needs_a_pair_of_samples():

@@ -490,6 +490,41 @@ def test_subgroup_prints_no_non_finite_defect(capsys, argv):
                         err)
 
 
+# the edges of the other commands that print JSON: entries near underflow
+# and overflow, dependent planes, a zero tangent, exponentials near the top
+# of the range, and strata that hold no plane
+@pytest.mark.parametrize("argv, code", [
+    (["section", "--u", "[[1,0],[0,2]]", "--v", "[[3,0],[0,-1]]"], 0),
+    (["section", "--u", "[[1e-320,2e-320],[3e-320,4e-320]]",
+      "--v", "[[0,1e-320],[1e-320,0]]"], 0),
+    (["section", "--u", "[[1e70,2e70],[3e70,4e70]]",
+      "--v", "[[0,1e70],[1e70,0]]"], 0),
+    (["section", "--u", "[[1e100,2e100],[3e100,4e100]]",
+      "--v", "[[0,1e100],[1e100,0]]"], 1),
+    (["section", "--u", "[[1.7976931348623157e308,0],[0,0]]",
+      "--v", V_2X2], 1),
+    (["section", "--u", "[[1,2],[3,4]]", "--v", "[[1,2],[3,4.000000001]]"], 3),
+    (["geodesic", "--u", "[[0,0],[0,0]]", "--steps", "3"], 0),
+    (["geodesic", "--u", "[[1e-300,0],[0,1e-300]]", "--steps", "3"], 0),
+    (["geodesic", "--u", "[[300,0],[0,-300]]", "--steps", "3"], 0),
+    (["geodesic", "--u", "[[0,300],[-300,0]]", "--steps", "3"], 0),
+    (["geodesic", "--u", "[[5]]", "--steps", "2", "--t-max", "-150"], 0),
+    (["geodesic", "--u", "[[1e200,0],[0,1e200]]", "--steps", "9"], 1),
+    (["sample", "--structure", "gl:complex:2", "--trials", "3",
+      "--format", "json"], 0),
+    (["sample", "--structure", "gl:real:6", "--trials", "3",
+      "--format", "json"], 0),
+    (["sample", "--structure", "gl:real:2", "--format", "json"], 3),
+], ids=lambda x: "-".join(x[:1] + x[2:3])[:40] if isinstance(x, list) else None)
+def test_no_command_prints_a_non_finite_number(capsys, argv, code):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == ""
+    else:
+        json.loads(out, parse_constant=_no_constant)
+
+
 def test_subgroup_so3_passes(capsys):
     code, out, _ = run(capsys, "subgroup", "--group", "so:3", "--u", SKEW_3)
     assert code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -208,6 +209,25 @@ def test_projections_land_in_algebra():
             assert spec.algebra_defect(u) <= 1e-13 * (norm(u) + 1.0)
 
 
+@pytest.mark.parametrize("selector", ["so:3", "so:1", "sl:2", "sl:3",
+                                      "opq:1,2", "opq:2,2", "ut:3", "ut:1"])
+def test_a_closure_on_a_stack_is_its_call_on_each_slice(selector):
+    spec = subgroup_from_selector(selector)
+    rng = np.random.default_rng(71)
+    # plain draws, and points of a geodesic from a tangent of the subgroup
+    tangent = spec.project(random_matrix(rng, spec.n))
+    x = np.stack([random_matrix(rng, spec.n, shape=(5,)),
+                  geodesic_point(gl_real(spec.n), tangent,
+                                 np.linspace(0.0, 2.0, 5))])
+    for f in (spec.group_defect, spec.algebra_defect, spec.project):
+        stacked = f(x)
+        assert stacked.shape == (x.shape if f is spec.project else x.shape[:2])
+        for k in np.ndindex(x.shape[:2]):
+            one = f(x[k])
+            assert np.ndim(one) == (2 if f is spec.project else 0)
+            assert np.array_equal(stacked[k], one)
+
+
 def test_subgroup_from_selector():
     assert subgroup_from_selector("so:3").name == "SO(3)"
     assert subgroup_from_selector("sl:2").name == "SL(2)"
@@ -259,10 +279,8 @@ def test_a_defect_that_is_not_finite_is_an_overflow(monkeypatch, bad, chunk):
     if chunk is not None:
         monkeypatch.setattr(curvature, "_CHUNK_ROWS", chunk)
     so3 = subgroup_from_selector("so:3")
-    spec = geodesics.SubgroupSpec(
-        name="SO(3)", n=3, algebra_defect=so3.algebra_defect,
-        group_defect=lambda g: bad if g[0, 0] < 0.0 else so3.group_defect(g),
-        transpose_invariant=True, project=so3.project)
+    spec = dataclasses.replace(so3, group_defect=lambda g: np.where(
+        g[..., 0, 0] < 0.0, bad, so3.group_defect(g)))
     with pytest.raises(Overflow, match=r"subgroup defect at t = 1\.2 is not finite"):
         totally_geodesic_check(spec, 1.5 * SKEW_3, t_max=2.0, steps=6)
 
@@ -401,11 +419,17 @@ def test_each_call_takes_one_stack_of_exponentials(monkeypatch):
             calls.clear()
             f(s, u, t)
             assert calls == [shape]
-    # a sweep takes one stack per chunk of the grid
+    # a sweep takes one stack of exponentials and one group_defect call per
+    # chunk of the grid
+    so3 = subgroup_from_selector("so:3")
+    defects = []
+    spec = dataclasses.replace(so3, group_defect=lambda g: defects.append(
+        np.shape(g)) or so3.group_defect(g))
     monkeypatch.setattr(curvature, "_CHUNK_ROWS", 7)
     calls.clear()
-    totally_geodesic_check(subgroup_from_selector("so:3"), SKEW_3)
+    totally_geodesic_check(spec, SKEW_3)
     assert calls == [(7, 2, 3, 3)] * 9 + [(1, 2, 3, 3)]
+    assert defects == [(7, 3, 3)] * 9 + [(1, 3, 3)]
 
 
 def test_velocity_link_suite_passes_and_catches_a_corrupted_omega(monkeypatch):
