@@ -24,7 +24,7 @@ from .algebra import COMPLEX, REAL, bracket, field_of, random_matrix
 from .errors import DimensionMismatch, NotPureType
 
 # tolerances of pure_class (relative to ||u||) and of the validate axioms;
-# the basis check measures 1 - min eig of the Gram matrix, hence its own
+# the basis check measures max |eig - 1| of the Gram matrix, hence its own
 PURITY_RTOL = 1e-10
 AXIOM_TOL = 1e-12
 BASIS_TOL = 1e-9
@@ -217,7 +217,8 @@ def validate(s: CartanStructure, trials: int = 100,
 
     basis = np.stack(standard_basis(s))
     gram = s.b_theta_stack(basis[:, None], basis[None])
-    min_eig = float(np.linalg.eigvalsh((gram + gram.T) / 2.0).min())
+    # orthonormal is two-sided: a Gram matrix above I fails as one below it
+    eig_gap = float(np.abs(np.linalg.eigvalsh((gram + gram.T) / 2.0) - 1.0).max())
     sym_gap = float(np.abs(gram - gram.T).max())
 
     errors = {
@@ -232,7 +233,7 @@ def validate(s: CartanStructure, trials: int = 100,
         "bform_ad_invariance":
             np.abs(_trace_form(bracket(x, y), z) + _trace_form(y, bracket(x, z)))
             / (norm(x) * norm(y) * norm(z) + 1e-14),
-        "b_theta_positive_definite_basis": max(0.0, 1.0 - min_eig) + sym_gap,
+        "b_theta_positive_definite_basis": eig_gap + sym_gap,
         "split_orthogonality":
             np.abs(s.b_theta_stack(p, x - p)) / (norm(x) ** 2 + 1e-14),
         "inclusion_kk_in_k": inclusion("k", "k", "p"),

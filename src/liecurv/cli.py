@@ -264,15 +264,16 @@ def _sample_stratum(s: CartanStructure, rng: np.random.Generator, tag: str,
 def cmd_geodesic(args) -> int:
     u = _load_matrix(args.u)
     s = _pick_structure(args.structure, u)
-    samples = geodesic_trace(s, u, t_max=args.t_max, steps=args.steps)
-    max_residual = max(x.residual for x in samples)
+    trace = geodesic_trace(s, u, t_max=args.t_max, steps=args.steps)
     if args.format == "json":
         payload = {"structure": s.name, "t_max": args.t_max, "steps": args.steps,
-                   "max_residual": max_residual,
-                   "samples": [{"t": x.t, "residual": x.residual,
-                                "gamma": matrix_to_json(x.gamma),
-                                "omega": matrix_to_json(x.omega)}
-                               for x in samples]}
+                   "max_residual": float(trace.residual.max()),
+                   "samples": [{"t": t, "residual": r,
+                                "gamma": matrix_to_json(gamma),
+                                "omega": matrix_to_json(omega)}
+                               for t, r, gamma, omega in zip(
+                                   trace.t.tolist(), trace.residual.tolist(),
+                                   trace.gamma, trace.omega)]}
         _emit_json(payload, args.out)
     else:
         if u.field != REAL:
@@ -284,10 +285,9 @@ def cmd_geodesic(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for x in samples:
-            writer.writerow([x.t, x.residual,
-                             *x.gamma.ravel().tolist(),
-                             *x.omega.ravel().tolist()])
+        writer.writerows(np.column_stack(
+            [trace.t, trace.residual, trace.gamma.reshape(args.steps, -1),
+             trace.omega.reshape(args.steps, -1)]).tolist())
         _emit(buf.getvalue(), args.out)
     return EXIT_OK
 

@@ -11,12 +11,20 @@ exp(-t s) a exp(t s) + s with a = -theta u and s = u - a. On gl(n, R) this
 is exp(t u^T) exp(t (u - u^T)). geodesic_residual measures how well the
 curve satisfies the geodesic equation.
 
-Each of the three takes t as a float or as a 1-D array of times. Each call
-takes all its exponentials from one matrix_exp call on one stack (and
-totally_geodesic_check one per chunk of its grid), with the factors of
-each time next to each other in the order a sweep in t meets them: every
-slice is bit-equal to the call at its own t, and an Overflow names the
-first exponential of that sweep that overflows.
+geodesic_point, geodesic_body_velocity and geodesic_residual take a
+tangent u that is one matrix or a (..., n, n) stack of them, and t as a
+float or as a 1-D array of T times, which adds a time axis after the
+tangent's: (..., T, n, n) matrices, (..., T) residuals. Each call takes
+all its exponentials from one stack (and totally_geodesic_check one per
+chunk of its grid), with the factors of each time next to each other in
+the order a sweep in t meets them, and hands it to matrix_exp in chunks
+of at most _EXP_CHUNK matrices: every row and time is bit-equal to the
+one-tangent call at its own t, and an Overflow names the first
+exponential of that sweep that overflows. A value that is not finite
+although its exponentials are raises Overflow too, naming its t, and for
+a stack its row as "row i: " (the flat index of the tangent).
+geodesic_trace and totally_geodesic_check report one curve and take one
+tangent.
 """
 
 from __future__ import annotations
@@ -39,49 +47,90 @@ DEFECT_RTOL = 1e-9
 DEFAULT_STEPS = 64
 # central-difference step of the geodesic residual
 FD_STEP = 1e-5
+# most matrices per matrix_exp call
+_EXP_CHUNK = 1024
 
 
 Times = float | np.ndarray
 
 
 def geodesic_point(s: CartanStructure, u, t: Times) -> np.ndarray:
-    """gamma(t) = exp(-t theta u) exp(t (u + theta u)); a (T, n, n) stack
-    for a 1-D array of T times."""
+    """gamma(t) = exp(-t theta u) exp(t (u + theta u)) for a tangent or a
+    (..., n, n) stack of them; (..., T, n, n) for a 1-D array of T times.
+    Raises Overflow where gamma is not finite."""
+    times = np.asarray(t, dtype=float)
+    gamma = _point(s, u, times)
+    _raise_first(np.isfinite(gamma).all(axis=(-2, -1)), times, "geodesic point")
+    return gamma
+
+
+def _point(s: CartanStructure, u, t: Times) -> np.ndarray:
+    """geodesic_point without the check that gamma is finite."""
     t, a, s2 = _factors(s, u, t)
     e_a, e_s2 = _exps(t * a, t * s2)
-    return e_a @ e_s2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return e_a @ e_s2
 
 
 def geodesic_body_velocity(s: CartanStructure, u, t: Times) -> np.ndarray:
     """omega(t) = gamma(t)^-1 gamma'(t) = exp(-t s2) a exp(t s2) + s2
-    with a = -theta u and s2 = u + theta u; a (T, n, n) stack for a 1-D
-    array of T times."""
-    t, a, s2 = _factors(s, u, t)
+    with a = -theta u and s2 = u + theta u, for a tangent or a (..., n, n)
+    stack of them; (..., T, n, n) for a 1-D array of T times. Raises
+    Overflow where omega is not finite."""
+    times = np.asarray(t, dtype=float)
+    t, a, s2 = _factors(s, u, times)
     e_plus, e_minus = _exps(t * s2, -t * s2)
-    return e_minus @ a @ e_plus + s2
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = e_minus @ a @ e_plus + s2
+    _raise_first(np.isfinite(omega).all(axis=(-2, -1)), times,
+                 "geodesic body velocity")
+    return omega
 
 
 def _factors(s: CartanStructure, u, t: Times) -> tuple:
-    """(t, a, s2) of the closed forms: t as a float, or a 1-D array of T
-    times as a (T, 1, 1) column that scales one matrix per time;
-    a = -theta u and s2 = u - a = u + theta u."""
-    u, t = s.check_member(u), np.asarray(t, dtype=float)
+    """(t, a, s2) of the closed forms, with a = -theta u and
+    s2 = u - a = u + theta u for a tangent or a (..., n, n) stack: t as a
+    float, or a 1-D array of T times as a (T, 1, 1) column that scales one
+    matrix per time, and then a and s2 get a time axis, (..., 1, n, n)."""
+    u, t = s.check_member(u, stack=True), np.asarray(t, dtype=float)
     if t.ndim > 1:
         raise DimensionMismatch(
             f"t must be a float or a 1-D array, got shape {t.shape}")
     a = -1.0 * s.theta(u)
-    return t.reshape(-1, 1, 1) if t.ndim else float(t), a, u - a
+    s2 = u - a
+    if t.ndim:
+        return t.reshape(-1, 1, 1), a[..., None, :, :], s2[..., None, :, :]
+    return float(t), a, s2
+
+
+def _raise_first(finite: np.ndarray, times: np.ndarray, what: str) -> None:
+    """Overflow naming the first value that is not finite, in C order, of
+    a (..., T) mask over rows and times (a (...) mask for one time): its t,
+    and for a stack of tangents its row as "row i: "."""
+    if finite.all():
+        return
+    row, k = divmod(int(np.argmin(finite)), times.size)
+    where = f"row {row}: " if finite.ndim > times.ndim else ""
+    raise Overflow(f"{where}{what} at t = {times.ravel()[k]:g} is not finite")
 
 
 def _exps(*factors: np.ndarray) -> list[np.ndarray]:
-    """The exponentials of equally shaped factors from one matrix_exp call.
+    """The exponentials of equally shaped factors, from one stack.
 
     The factors of each time sit next to each other in the stack, in the
     order given, so its C order is the order in which a sweep in t meets
     them, and the Overflow of matrix_exp names the first failure of that
-    sweep.
+    sweep. The stack goes to matrix_exp in C order in chunks of at most
+    _EXP_CHUNK matrices, which bounds the memory of its intermediates for
+    a stack of tangents; a slice is bit-equal in any chunk, and an earlier
+    chunk holds no failure.
     """
-    return list(np.moveaxis(matrix_exp(np.stack(factors, axis=-3)), -3, 0))
+    x = np.stack(factors, axis=-3)
+    flat = x.reshape(-1, *x.shape[-2:])
+    e = np.empty_like(flat)
+    for start in range(0, len(flat), _EXP_CHUNK):
+        e[start:start + _EXP_CHUNK] = matrix_exp(flat[start:start + _EXP_CHUNK])
+    return list(np.moveaxis(e.reshape(x.shape), -3, 0))
 
 
 # The benchmark's tracer still lists these names and requires each to
@@ -92,13 +141,15 @@ experimental_geodesic_body_velocity = geodesic_body_velocity
 
 def geodesic_residual(s: CartanStructure, u, t: Times) -> float | np.ndarray:
     """Geodesic-equation defect ||omega'(t) + nabla(omega(t), omega(t))||,
-    a float, or an array of T defects for a 1-D array of T times.
+    a float for one tangent and one time, else an array of shape (...),
+    (T,) or (..., T) for a (..., n, n) stack of tangents and a 1-D array
+    of T times.
 
     omega' is a central finite difference with step FD_STEP. For a true
     geodesic the residual is at the differencing noise floor (<= 1e-6 for
     ||u|| <= 2, t in [0, 2]). Raises Overflow when an exponential of the
     grid overflows, or else when a defect is not finite, naming the first
-    such t.
+    such t (and row of a stack).
     """
     return _sweep(s, u, t, with_point=False)[2]
 
@@ -121,12 +172,12 @@ def _sweep(s: CartanStructure, u, t: Times, with_point: bool) -> tuple:
         defect = w_dot + nabla(s, w, w)
         # one slice at a time: norm(axis=(-2, -1)) is not bit-equal to it
         residual = np.array([np.linalg.norm(d) for d in
-                             defect.reshape(-1, *defect.shape[-2:])])
-    finite = np.isfinite(residual)
-    if not finite.all():
-        first = times.ravel()[np.argmin(finite)]
-        raise Overflow(f"geodesic residual at t = {first:g} is not finite")
-    return gamma, w, residual if times.ndim else float(residual[0])
+                             defect.reshape(-1, *defect.shape[-2:])]
+                            ).reshape(defect.shape[:-2])
+    _raise_first(np.isfinite(residual), times, "geodesic residual")
+    if with_point:
+        _raise_first(np.isfinite(gamma).all(axis=(-2, -1)), times, "geodesic point")
+    return gamma, w, residual if residual.ndim else float(residual)
 
 
 def _check_grid(t_max: float, steps: int) -> None:
@@ -138,23 +189,25 @@ def _check_grid(t_max: float, steps: int) -> None:
 
 @dataclass(frozen=True)
 class GeodesicSample:
-    """One grid point of a geodesic trace."""
+    """A geodesic trace on its grid of T times: t and residual of shape
+    (T,), gamma and omega of shape (T, n, n)."""
 
-    t: float
+    t: np.ndarray
     gamma: np.ndarray
     omega: np.ndarray
-    residual: float
+    residual: np.ndarray
 
 
 def geodesic_trace(s: CartanStructure, u, t_max: float = 2.0,
-                   steps: int = DEFAULT_STEPS) -> list[GeodesicSample]:
-    """Sample the geodesic on a uniform grid of `steps` points over [0, t_max]
-    (ValueError for steps < 2 or a non-finite t_max)."""
+                   steps: int = DEFAULT_STEPS) -> GeodesicSample:
+    """Sample the geodesic from one tangent u on a uniform grid of `steps`
+    points over [0, t_max] (ValueError for steps < 2 or a non-finite t_max,
+    DimensionMismatch for a stack of tangents). Overflow as for
+    geodesic_residual, or else where gamma is not finite."""
     _check_grid(t_max, steps)
     ts = np.linspace(0.0, t_max, steps)
-    gamma, omega, residual = _sweep(s, u, ts, with_point=True)
-    return [GeodesicSample(t=float(t), gamma=g, omega=w, residual=float(r))
-            for t, g, w, r in zip(ts, gamma, omega, residual)]
+    gamma, omega, residual = _sweep(s, s.check_member(u), ts, with_point=True)
+    return GeodesicSample(t=ts, gamma=gamma, omega=omega, residual=residual)
 
 
 # -- subgroups ----------------------------------------------------------------
@@ -273,7 +326,7 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
         # failure of a sweep in t, since the earlier chunks have passed
         for start in range(0, steps, curvature._CHUNK_ROWS):
             chunk = ts[start:start + curvature._CHUNK_ROWS]
-            d = spec.group_defect(geodesic_point(s, u, chunk))
+            d = spec.group_defect(_point(s, u, chunk))
             finite = np.isfinite(d)
             if not_finite is None and not finite.all():
                 not_finite = chunk[np.argmin(finite)]

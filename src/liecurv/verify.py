@@ -17,6 +17,9 @@ multi-size sweep for the oracle and Riemann suites when no structure is
 forced). Sampled suites draw stacks of at most 1024 rows
 (curvature._CHUNK_ROWS) in pair-by-pair order, take closed-form quartics
 from sections and pass the same stacks to each reference but quartic_special.
+The geodesic suites pass all their tangents and times to each geodesic
+function as one stack; the subgroup sweeps take one tangent per call, as
+each totally_geodesic_check reports one curve.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ GEODESIC_SAMPLES = 100
 SUBGROUP_TANGENTS = 10
 RIEMANN_SECTIONS = 10
 LINK_TANGENTS = 10
-# times of the geodesic suites, each grid taken as one stack per tangent
+# times of the geodesic suites, taken with all their tangents as one stack
 GEODESIC_GRID = 0.25 * np.arange(9)
 GEODESIC_GRID.setflags(write=False)
 
@@ -335,8 +338,8 @@ def _symmetric_iff_suite(rng: np.random.Generator, seed: int) -> SuiteResult:
 
 
 def _geodesic_suite(s: CartanStructure, rng: np.random.Generator) -> SuiteResult:
-    worst = max(float(geodesic_residual(s, u, GEODESIC_GRID).max())
-                for u in _tangents(s, rng, GEODESIC_SAMPLES))
+    worst = float(geodesic_residual(
+        s, _tangents(s, rng, GEODESIC_SAMPLES), GEODESIC_GRID).max())
     return _suite("geodesic_residual", worst, GEODESIC_BOUND,
                   detail={"samples": GEODESIC_SAMPLES,
                           "t_grid": GEODESIC_GRID.tolist(), "h": FD_STEP})
@@ -427,15 +430,15 @@ def _velocity_link_suite(rng: np.random.Generator) -> SuiteResult:
     differentiate, which the residual suite takes on trust."""
     detail = {}
     for s in (gl_real(3), gl_complex(2)):
-        local = 0.0
-        for u in _tangents(s, rng, LINK_TANGENTS):
-            gamma, plus, minus = np.split(geodesic_point(s, u, np.concatenate(
-                [GEODESIC_GRID, GEODESIC_GRID + FD_STEP, GEODESIC_GRID - FD_STEP])), 3)
-            fd = (plus - minus) / (2.0 * FD_STEP)
-            gap = (np.linalg.solve(gamma, fd)
-                   - geodesic_body_velocity(s, u, GEODESIC_GRID))
-            local = max(local, float(np.linalg.norm(gap, axis=(-2, -1)).max()))
-        detail[s.name] = {"tangents": LINK_TANGENTS, "max_gap": local}
+        u = _tangents(s, rng, LINK_TANGENTS)
+        gamma, plus, minus = np.split(geodesic_point(s, u, np.concatenate(
+            [GEODESIC_GRID, GEODESIC_GRID + FD_STEP, GEODESIC_GRID - FD_STEP])),
+            3, axis=1)
+        fd = (plus - minus) / (2.0 * FD_STEP)
+        gap = (np.linalg.solve(gamma, fd)
+               - geodesic_body_velocity(s, u, GEODESIC_GRID))
+        detail[s.name] = {"tangents": LINK_TANGENTS,
+                          "max_gap": float(np.linalg.norm(gap, axis=(-2, -1)).max())}
     worst = max(d["max_gap"] for d in detail.values())
     detail.update(t_grid=GEODESIC_GRID.tolist(), h=FD_STEP)
     return _suite("geodesic_velocity_link", worst, GEODESIC_BOUND, detail=detail)

@@ -143,7 +143,7 @@ class Half(CartanStructure):
 
 
 class Twice(CartanStructure):
-    """-2u*: B_theta is doubled, which the basis check accepts."""
+    """-2u*: B_theta is doubled, which the two-sided basis check flags."""
 
     def theta(self, u):
         return -2.0 * np.conj(u).swapaxes(-1, -2)
@@ -182,8 +182,8 @@ TRANSPOSED_FLAGS = {"b_theta_positive_definite_basis",
     (Transposed(3, REAL), TRANSPOSED_FLAGS | {"inclusion_pp_in_k"}),
     (Half(2, REAL), NOT_AN_INVOLUTION | {"b_theta_positive_definite_basis"}),
     (Half(2, COMPLEX), NOT_AN_INVOLUTION | {"b_theta_positive_definite_basis"}),
-    (Twice(2, REAL), NOT_AN_INVOLUTION),
-    (Twice(2, COMPLEX), NOT_AN_INVOLUTION),
+    (Twice(2, REAL), NOT_AN_INVOLUTION | {"b_theta_positive_definite_basis"}),
+    (Twice(2, COMPLEX), NOT_AN_INVOLUTION | {"b_theta_positive_definite_basis"}),
 ], ids=["transposed-real-2", "transposed-complex-2", "transposed-real-3",
         "half-real-2", "half-complex-2", "twice-real-2", "twice-complex-2"])
 def test_validate_flags_exactly_the_broken_axioms(s, flagged, trials):

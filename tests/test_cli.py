@@ -510,6 +510,8 @@ def test_subgroup_prints_no_non_finite_defect(capsys, argv):
     (["geodesic", "--u", "[[0,300],[-300,0]]", "--steps", "3"], 0),
     (["geodesic", "--u", "[[5]]", "--steps", "2", "--t-max", "-150"], 0),
     (["geodesic", "--u", "[[1e200,0],[0,1e200]]", "--steps", "9"], 1),
+    (["geodesic", "--u", "[[709.5,1],[0,709.5]]", "--steps", "5",
+      "--t-max", "1"], 1),
     (["sample", "--structure", "gl:complex:2", "--trials", "3",
       "--format", "json"], 0),
     (["sample", "--structure", "gl:real:6", "--trials", "3",

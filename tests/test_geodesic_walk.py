@@ -57,8 +57,9 @@ def _walk(s, u, ts, with_point, stop_at_residual):
     without with_point. An exponential that overflows raises at once. A
     residual that is not finite raises at once when stop_at_residual, as
     the library's walk did; otherwise the walk goes on and raises it only
-    when no exponential of the grid overflows (the rule of the one stack)."""
-    samples, late = [], None
+    when no exponential of the grid overflows (the rule of the one stack),
+    and after it, the first gamma that is not finite."""
+    samples, late, late_point = [], None, None
     with quiet():
         for t in map(float, ts):
             gamma = _reference_point(s, u, t) if with_point else None
@@ -69,9 +70,12 @@ def _walk(s, u, ts, with_point, stop_at_residual):
                 if stop_at_residual:
                     raise error
                 late = late or error
+            if with_point and not np.isfinite(gamma).all():
+                late_point = late_point or Overflow(
+                    f"geodesic point at t = {t:g} is not finite")
             samples.append((t, gamma, omega, residual))
-    if late is not None:
-        raise late
+    if late is not None or late_point is not None:
+        raise late or late_point
     return samples
 
 
@@ -134,8 +138,11 @@ IDS = [f"{s.name}-{k}" for k, (s, _) in enumerate(CORPUS)]
 
 
 def _trace_rows(s, u):
-    return [(x.t, x.gamma, x.omega, x.residual)
-            for x in geodesic_trace(s, u, t_max=2.0, steps=len(GRID))]
+    """The trace's arrays as the walk's rows; they must have its shapes."""
+    x = geodesic_trace(s, u, t_max=2.0, steps=len(GRID))
+    assert x.t.shape == x.residual.shape == GRID.shape
+    assert x.gamma.shape == x.omega.shape == (len(GRID), s.n, s.n)
+    return list(zip(x.t.tolist(), x.gamma, x.omega, x.residual.tolist()))
 
 
 def test_the_corpus_reaches_every_outcome():

@@ -130,12 +130,13 @@ def test_geodesic_residual_huge_tangent_overflows():
 
 def test_geodesic_trace_grid():
     s = gl_real(3)
-    samples = geodesic_trace(s, SKEW_3, t_max=2.0, steps=9)
-    assert len(samples) == 9
-    assert samples[0].t == 0.0
-    assert samples[-1].t == 2.0
-    assert norm(samples[0].omega - SKEW_3) <= 1e-14
-    assert all(x.residual <= 1e-6 for x in samples)
+    trace = geodesic_trace(s, SKEW_3, t_max=2.0, steps=9)
+    assert trace.t.shape == trace.residual.shape == (9,)
+    assert trace.gamma.shape == trace.omega.shape == (9, 3, 3)
+    assert trace.t[0] == 0.0
+    assert trace.t[-1] == 2.0
+    assert norm(trace.omega[0] - SKEW_3) <= 1e-14
+    assert all(r <= 1e-6 for r in trace.residual)
     with pytest.raises(ValueError):
         geodesic_trace(s, SKEW_3, steps=1)
 
@@ -151,13 +152,13 @@ def test_geodesic_trace_reuses_its_body_velocity(monkeypatch):
     exp = geodesics.matrix_exp
     monkeypatch.setattr(geodesics, "matrix_exp",
                         lambda a: calls.append(np.shape(a)) or exp(a))
-    samples = geodesic_trace(s, u, steps=64)
+    trace = geodesic_trace(s, u, steps=64)
     monkeypatch.undo()
-    assert calls == [(64, 7, 3, 3)]
+    assert calls == [(448, 3, 3)]
     assert sum(np.prod(shape[:-2]) for shape in calls) <= 448
-    for x in samples:
-        assert np.array_equal(x.omega, geodesic_body_velocity(s, u, x.t))
-        assert x.residual == geodesic_residual(s, u, x.t)
+    for t, omega, r in zip(trace.t.tolist(), trace.omega, trace.residual):
+        assert np.array_equal(omega, geodesic_body_velocity(s, u, t))
+        assert r == geodesic_residual(s, u, t)
 
 
 # -- subgroups ----------------------------------------------------------------
@@ -329,15 +330,90 @@ def test_a_stacked_grid_is_bit_equal_to_its_scalar_calls(s):
         assert np.array_equal(nablas[k], nabla(s, omegas[k], gammas[k]))
 
 
-def test_geodesics_take_one_tangent_and_a_flat_grid():
+def test_traces_and_sweeps_take_one_tangent_and_all_a_flat_grid():
     s = gl_real(3)
+    for f in (geodesic_point, geodesic_body_velocity, geodesic_residual):
+        with pytest.raises(DimensionMismatch):
+            f(s, SKEW_3, np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatch):
+            f(s, np.stack([SKEW_3, SYM_3]), np.zeros((2, 2)))
+    # a trace and a sweep each report one curve
     with pytest.raises(DimensionMismatch):
-        geodesic_point(s, SKEW_3, np.zeros((2, 2)))
-    with pytest.raises(DimensionMismatch):
-        geodesic_residual(s, np.stack([SKEW_3, SYM_3]), 1.0)
+        geodesic_trace(s, np.stack([SKEW_3, SYM_3]))
     with pytest.raises(DimensionMismatch):
         totally_geodesic_check(subgroup_from_selector("so:3"),
                                np.stack([SKEW_3, SKEW_3]))
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("shape", [(4,), (2, 3)], ids=["m", "m-k"])
+@pytest.mark.parametrize("s", [gl_real(2), gl_real(3), gl_real(6),
+                               gl_complex(2), gl_complex(4)],
+                         ids=lambda s: s.name)
+def test_a_stack_of_tangents_is_bit_equal_to_its_one_tangent_calls(
+        monkeypatch, s, shape, chunk):
+    # at a chunk of 5 matrices the exponentials of a stack, and of most
+    # one-tangent calls, go to matrix_exp in several calls
+    u = random_matrix(np.random.default_rng(73 + s.n), s.n, s.field, shape)
+    ts = np.linspace(0.0, 2.0, 9)
+    for f in (geodesic_point, geodesic_body_velocity, geodesic_residual):
+        matrix = () if f is geodesic_residual else (s.n, s.n)
+        for t, times in ((0.7, ()), (ts, (9,))):
+            if chunk is not None:
+                monkeypatch.setattr(geodesics, "_EXP_CHUNK", chunk)
+            stacked = f(s, u, t)
+            monkeypatch.undo()
+            assert stacked.shape == shape + times + matrix
+            for k in np.ndindex(shape):
+                one = f(s, u[k], t)
+                assert np.shape(one) == times + matrix
+                assert np.array_equal(stacked[k], one)
+
+
+UT2 = np.array([[116.0, -8e21], [0.0, 2477.0]])
+
+
+def test_a_product_that_is_not_finite_is_an_overflow():
+    # each exponential is finite at these times, their product is not
+    with pytest.raises(Overflow, match=r"^geodesic body velocity at "
+                       r"t = 0\.126984 is not finite$"):
+        geodesic_body_velocity(gl_real(2), UT2, 8.0 / 63.0)
+    with pytest.raises(Overflow, match=r"^geodesic point at t = 1 is not finite$"):
+        geodesic_point(gl_real(2), np.array([[709.5, 1.0], [0.0, 709.5]]), 1.0)
+
+
+def test_a_trace_whose_gamma_is_not_finite_is_an_overflow():
+    # the residuals are finite up to t = 1, where gamma leaves the range
+    u = np.array([[709.5, 1.0], [0.0, 709.5]])
+    assert np.isfinite(geodesic_residual(gl_real(2), u, np.linspace(0.0, 1.0, 5))).all()
+    with pytest.raises(Overflow, match=r"^geodesic point at t = 1 is not finite$"):
+        geodesic_trace(gl_real(2), u, t_max=1.0, steps=5)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_a_stack_names_the_row_and_the_time_that_overflow(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(geodesics, "_EXP_CHUNK", chunk)
+    s = gl_real(2)
+    # each grid starts at t, or where every row is finite, and holds t
+    cases = [
+        (geodesic_body_velocity, UT2, "geodesic body velocity", 8.0 / 63.0,
+         "0.126984", np.linspace(0.0, 8.0 / 63.0, 5)),
+        (geodesic_point, np.array([[709.5, 1.0], [0.0, 709.5]]),
+         "geodesic point", 1.0, "1", np.linspace(0.0, 1.0, 5)),
+        (geodesic_residual, 1e200 * np.eye(2), "geodesic residual", 0.5, "0.5",
+         np.array([0.5, 1.0])),
+    ]
+    rng = np.random.default_rng(79)
+    for f, bad, what, t, text, grid in cases:
+        # the bad tangent is row 1 of (3,) and row 2, at [1, 0], of (2, 2)
+        for shape, flat in (((3,), 1), ((2, 2), 2)):
+            u = random_matrix(rng, 2, shape=shape)
+            u.reshape(-1, 2, 2)[flat] = bad
+            for times in (t, grid):
+                with pytest.raises(Overflow, match=(
+                        rf"^row {flat}: {what} at t = {text} is not finite$")):
+                    f(s, u, times)
 
 
 def test_stacked_residual_names_the_first_time_that_is_not_finite():
@@ -394,13 +470,43 @@ def test_a_chunked_sweep_gives_the_report_of_one_stack(monkeypatch):
 @pytest.mark.parametrize("f", [geodesic_point, geodesic_body_velocity,
                                geodesic_residual], ids=lambda f: f.__name__)
 def test_a_stacked_grid_overflows_where_a_loop_over_t_does(f, u):
+    # the loop goes on past a value that is not finite and stops at the
+    # first exponential that overflows: the stack reports that one, or else
+    # the loop's first error
     ts = np.linspace(0.0, 2.0, geodesics.DEFAULT_STEPS)
-    with pytest.raises(Overflow) as looped:
-        for t in ts:
+    looped = []
+    for t in ts:
+        try:
             f(gl_real(2), u, float(t))
+        except Overflow as e:
+            looped.append(str(e))
+            if looped[-1].startswith("exponential"):
+                break
+    assert looped
     with pytest.raises(Overflow) as stacked:
         f(gl_real(2), u, ts)
-    assert str(stacked.value) == str(looped.value)
+    assert str(stacked.value) == next(
+        (e for e in looped if e.startswith("exponential")), looped[0])
+    # only omega at the first tangent fails first on a value, at t = 8/63
+    moved = f is geodesic_body_velocity and np.array_equal(u, UT2)
+    assert looped[0].startswith("exponential") is not moved
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_an_overflow_anywhere_on_the_grid_comes_before_a_body_velocity(
+        monkeypatch, chunk):
+    # one time at a time, omega stops at t = 8/63, where its exponentials are
+    # finite and their product is not; the stacked grid reports the
+    # exponential that overflows at a later t, in whatever chunks it goes
+    if chunk is not None:
+        monkeypatch.setattr(geodesics, "_EXP_CHUNK", chunk)
+    ts = np.linspace(0.0, 2.0, geodesics.DEFAULT_STEPS)
+    assert ts[4] == 8.0 / 63.0
+    with pytest.raises(Overflow, match=r"^geodesic body velocity at t = 0\.126984 is"):
+        for t in ts:
+            geodesic_body_velocity(gl_real(2), UT2, float(t))
+    with pytest.raises(Overflow, match=r"^exponential overflowed .* norm 2\.51e\+21$"):
+        geodesic_body_velocity(gl_real(2), UT2, ts)
 
 
 def test_each_call_takes_one_stack_of_exponentials(monkeypatch):
@@ -412,10 +518,11 @@ def test_each_call_takes_one_stack_of_exponentials(monkeypatch):
     monkeypatch.setattr(geodesics, "matrix_exp",
                         lambda a: calls.append(np.shape(a)) or exp(a))
     # gamma takes exp(t a) and exp(t s2), omega exp(+-t s2), the residual
-    # exp(+-t s2), exp(-+(t + h) s2) and exp(-+(t - h) s2)
+    # exp(+-t s2), exp(-+(t + h) s2) and exp(-+(t - h) s2), all in one call
+    # below _EXP_CHUNK matrices
     for f, k in ((geodesic_point, 2), (geodesic_body_velocity, 2),
                  (geodesic_residual, 6)):
-        for t, shape in ((0.5, (k, 3, 3)), (ts, (9, k, 3, 3))):
+        for t, shape in ((0.5, (k, 3, 3)), (ts, (9 * k, 3, 3))):
             calls.clear()
             f(s, u, t)
             assert calls == [shape]
@@ -428,8 +535,13 @@ def test_each_call_takes_one_stack_of_exponentials(monkeypatch):
     monkeypatch.setattr(curvature, "_CHUNK_ROWS", 7)
     calls.clear()
     totally_geodesic_check(spec, SKEW_3)
-    assert calls == [(7, 2, 3, 3)] * 9 + [(1, 2, 3, 3)]
+    assert calls == [(14, 3, 3)] * 9 + [(2, 3, 3)]
     assert defects == [(7, 3, 3)] * 9 + [(1, 3, 3)]
+    # above _EXP_CHUNK matrices, in calls of at most that many: 54 = 13 * 4 + 2
+    monkeypatch.setattr(geodesics, "_EXP_CHUNK", 4)
+    calls.clear()
+    geodesic_residual(s, u, ts)
+    assert calls == [(4, 3, 3)] * 13 + [(2, 3, 3)]
 
 
 def test_velocity_link_suite_passes_and_catches_a_corrupted_omega(monkeypatch):
@@ -441,7 +553,8 @@ def test_velocity_link_suite_passes_and_catches_a_corrupted_omega(monkeypatch):
 
     def without_s2(s, u, t):
         # the closed form with its "+ s2" term dropped
-        return geodesic_body_velocity(s, u, t) - (u - u.conj().T)
+        return (geodesic_body_velocity(s, u, t)
+                - (u - np.conj(u).swapaxes(-1, -2))[..., None, :, :])
     monkeypatch.setattr(verify, "geodesic_body_velocity", without_s2)
     report = verify._velocity_link_suite(np.random.default_rng(42))
     assert not report.passed
