@@ -68,6 +68,20 @@ def bracket(u, v) -> np.ndarray:
     return u @ v - v @ u
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (..., n, n) stack, bit-equal to
+    np.linalg.norm of that matrix: one dot product per matrix over its
+    entries in memory order (a norm over axis=(-2, -1) sums in another)."""
+    if x.strides[-1] > x.strides[-2]:
+        x = x.swapaxes(-1, -2)  # a transposed matrix is read in memory order
+    f = x.reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1])
+    if f.dtype.kind == "c":
+        sq = f.real @ f.real.swapaxes(-1, -2) + f.imag @ f.imag.swapaxes(-1, -2)
+    else:
+        sq = f @ f.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
 # Pade-13 numerator coefficients (26-k)! 13! / (26! k! (13-k)!), so that
 # p(0) = 1 and exp(0) is exactly I, and the 1-norm up to which degree 13
 # needs no scaling (Higham 2005, "The scaling and squaring method for the
@@ -85,7 +99,8 @@ def matrix_exp(u) -> np.ndarray:
     u is one matrix or a stack of them on its last two axes. Each slice is
     scaled by its own 2^-s with ||u / 2^s||_1 <= 5.37, so a slice is
     bit-equal to its own call. Raises Overflow if the result leaves the
-    representable range, naming the norm of the first slice that does.
+    representable range, naming the norm of the first slice that does,
+    and for a stack its flat index as "slice i: ".
     """
     u = np.asarray(u)
     c = _PADE13
@@ -108,10 +123,10 @@ def matrix_exp(u) -> np.ndarray:
             out = np.where((k < s)[..., None, None], out @ out, out)
         out[bad] = np.nan
         if not np.all(np.isfinite(out)):
-            finite = np.isfinite(out).all(axis=(-2, -1)).ravel()
-            first = u.reshape(-1, *u.shape[-2:])[np.argmin(finite)]
-            raise Overflow("exponential overflowed for a matrix of norm "
-                           f"{np.linalg.norm(first):.3g}")
+            i = int(np.argmin(np.isfinite(out).all(axis=(-2, -1)).ravel()))
+            norm = np.linalg.norm(u.reshape(-1, *u.shape[-2:])[i])
+            raise Overflow((f"slice {i}: " if u.ndim > 2 else "") +
+                           f"exponential overflowed for a matrix of norm {norm:.3g}")
     return out
 
 

@@ -264,6 +264,8 @@ def _sample_stratum(s: CartanStructure, rng: np.random.Generator, tag: str,
 def cmd_geodesic(args) -> int:
     u = _load_matrix(args.u)
     s = _pick_structure(args.structure, u)
+    if args.format == "csv" and u.field != REAL:
+        raise ValueError("csv output supports real matrices only")
     trace = geodesic_trace(s, u, t_max=args.t_max, steps=args.steps)
     if args.format == "json":
         payload = {"structure": s.name, "t_max": args.t_max, "steps": args.steps,
@@ -276,8 +278,6 @@ def cmd_geodesic(args) -> int:
                                    trace.gamma, trace.omega)]}
         _emit_json(payload, args.out)
     else:
-        if u.field != REAL:
-            raise ValueError("csv output supports real matrices only")
         n = u.n
         header = (["t", "residual"]
                   + [f"gamma_{i}{j}" for i in range(n) for j in range(n)]

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import bracket
-from .cartan import CartanStructure, pure_class, theta_part
-from .errors import (DegenerateSection, DimensionMismatch, NotCommuting,
-                     NotPureType, Overflow)
+from .cartan import (CartanStructure, _pure_classes, _require_pure,
+                     theta_part)
+from .errors import DegenerateSection, DimensionMismatch, NotCommuting, Overflow
 
 # A 2-plane is rejected as degenerate when its squared area falls below this
 # multiple of ||u||^2 ||v||^2.
@@ -186,37 +186,44 @@ def _unit_scale(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u * np.ldexp(1.0, -e)[..., None, None], e
 
 
-def quartic_special(s: CartanStructure, u, v) -> tuple[float, str]:
-    """Special-case value of the quartic form, dispatched on purity.
+# quartic_special's tag of a pair by 2 * class of u + class of v, with the
+# classes of _pure_classes: 0 for p, 1 for k, 2 for a mixed u
+_TAGS = np.array(["p_p", "p_k", "k_p", "k_k", "g_p", "g_k"])
 
-    v must be purely p or purely k (NotPureType otherwise). When u is also
-    pure the four pure cases fire (tags p_p, k_k, p_k, k_p); for mixed u the
-    tag is g_p or g_k. The returned value agrees with quartic(s, u, v); this
-    function exists as a cross-check, not a fast path.
+
+def quartic_special(s: CartanStructure, u, v):
+    """Special-case value of the quartic form, dispatched on purity, row by
+    row on two (..., n, n) stacks of one shape: an array of values and one
+    of tags (a float and a str for one pair), each row bit-equal to its
+    own call.
+
+    v must be purely p or purely k (NotPureType otherwise, naming the first
+    such row of a stack). When u is also pure the four pure cases fire
+    (tags p_p, k_k, p_k, k_p); for mixed u the tag is g_p or g_k. The
+    returned value agrees with quartic(s, u, v); this function exists as a
+    cross-check, not a fast path.
     """
-    u, v = s.check_member(u), s.check_member(v)
-    cv = pure_class(s, v)
-    try:
-        cu = pure_class(s, u)
-    except NotPureType:
-        cu = "g"
+    u, v = s.check_stacks(u, v)
+    # v and u take one purity test, as two rows of one stack
+    (cv, cu), norms = _pure_classes(s, np.array((v, u)))
+    _require_pure(cv, [x[0] for x in norms])
 
-    def nsq(x: np.ndarray) -> float:
+    def nsq(x: np.ndarray) -> np.ndarray:
         return s.b_theta_stack(x, x)
 
-    if cu == "g":
+    g_p = (cu == 2) & (cv == 0)
+    count = np.count_nonzero(g_p)
+    value = np.zeros(g_p.shape)
+    if count < g_p.size:
+        # k_k, p_k, k_p and g_k all carry the coefficient +1/4
+        b = nsq(bracket(u, v))
+        value = np.where((cu == 0) & (cv == 0), 0.0 - 1.75 * b, 0.25 * b)
+    if count:
         pu = theta_part(s, u, "p")
-        if cv == "p":
-            value = (-1.75 * nsq(bracket(pu, v))
-                     + 0.25 * nsq(bracket(u - pu, v)))
-        else:
-            value = 0.25 * nsq(bracket(u, v))
-    elif (cu, cv) == ("p", "p"):
-        value = 0.0 - 1.75 * nsq(bracket(u, v))
-    else:
-        # k_k, p_k and k_p all carry the coefficient +1/4
-        value = 0.25 * nsq(bracket(u, v))
-    return float(value), f"{cu}_{cv}"
+        value = np.where(g_p, (-1.75 * nsq(bracket(pu, v))
+                               + 0.25 * nsq(bracket(u - pu, v))), value)
+    tags = _TAGS[2 * cu + cv]
+    return (float(value), str(tags)) if value.ndim == 0 else (value, tags)
 
 
 def quartic_commuting(s: CartanStructure, u, v):

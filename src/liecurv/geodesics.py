@@ -20,9 +20,10 @@ chunk of its grid), with the factors of each time next to each other in
 the order a sweep in t meets them, and hands it to matrix_exp in chunks
 of at most _EXP_CHUNK matrices: every row and time is bit-equal to the
 one-tangent call at its own t, and an Overflow names the first
-exponential of that sweep that overflows. A value that is not finite
-although its exponentials are raises Overflow too, naming its t, and for
-a stack its row as "row i: " (the flat index of the tangent).
+exponential of that sweep that overflows, for a stack of tangents with
+its row and t. A value that is not finite although its exponentials are
+raises Overflow too, naming its t, and for a stack its row as "row i: "
+(the flat index of the tangent).
 geodesic_trace and totally_geodesic_check report one curve and take one
 tangent.
 """
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import curvature
-from .algebra import matrix_exp
+from .algebra import _norms, matrix_exp
 from .cartan import CartanStructure, gl_real
 from .curvature import nabla
 from .errors import DimensionMismatch, Overflow, TangentNotInAlgebra, UnknownGroup
@@ -66,8 +67,9 @@ def geodesic_point(s: CartanStructure, u, t: Times) -> np.ndarray:
 
 def _point(s: CartanStructure, u, t: Times) -> np.ndarray:
     """geodesic_point without the check that gamma is finite."""
-    t, a, s2 = _factors(s, u, t)
-    e_a, e_s2 = _exps(t * a, t * s2)
+    times = np.asarray(t, dtype=float)
+    t, a, s2 = _factors(s, u, times)
+    e_a, e_s2 = _exps(times, t * a, t * s2)
     with np.errstate(over="ignore", invalid="ignore"):
         return e_a @ e_s2
 
@@ -79,7 +81,7 @@ def geodesic_body_velocity(s: CartanStructure, u, t: Times) -> np.ndarray:
     Overflow where omega is not finite."""
     times = np.asarray(t, dtype=float)
     t, a, s2 = _factors(s, u, times)
-    e_plus, e_minus = _exps(t * s2, -t * s2)
+    e_plus, e_minus = _exps(times, t * s2, -t * s2)
     with np.errstate(over="ignore", invalid="ignore"):
         omega = e_minus @ a @ e_plus + s2
     _raise_first(np.isfinite(omega).all(axis=(-2, -1)), times,
@@ -114,22 +116,30 @@ def _raise_first(finite: np.ndarray, times: np.ndarray, what: str) -> None:
     raise Overflow(f"{where}{what} at t = {times.ravel()[k]:g} is not finite")
 
 
-def _exps(*factors: np.ndarray) -> list[np.ndarray]:
-    """The exponentials of equally shaped factors, from one stack.
+def _exps(times: np.ndarray, *factors: np.ndarray) -> list[np.ndarray]:
+    """The exponentials of equally shaped factors at times, from one stack.
 
     The factors of each time sit next to each other in the stack, in the
     order given, so its C order is the order in which a sweep in t meets
     them, and the Overflow of matrix_exp names the first failure of that
-    sweep. The stack goes to matrix_exp in C order in chunks of at most
-    _EXP_CHUNK matrices, which bounds the memory of its intermediates for
-    a stack of tangents; a slice is bit-equal in any chunk, and an earlier
-    chunk holds no failure.
+    sweep: for one tangent in its own text, for a stack of tangents as
+    "row i: ... at t = ...". The stack goes to matrix_exp in C order in
+    chunks of at most _EXP_CHUNK matrices, which bounds the memory of its
+    intermediates for a stack of tangents; a slice is bit-equal in any
+    chunk, and an earlier chunk holds no failure.
     """
     x = np.stack(factors, axis=-3)
     flat = x.reshape(-1, *x.shape[-2:])
     e = np.empty_like(flat)
     for start in range(0, len(flat), _EXP_CHUNK):
-        e[start:start + _EXP_CHUNK] = matrix_exp(flat[start:start + _EXP_CHUNK])
+        try:
+            e[start:start + _EXP_CHUNK] = matrix_exp(flat[start:start + _EXP_CHUNK])
+        except Overflow as exc:
+            # matrix_exp names the slice of the chunk as "slice j: "
+            j, text = str(exc).removeprefix("slice ").split(": ", 1)
+            row, k = divmod((start + int(j)) // len(factors), times.size)
+            raise Overflow(text if x.ndim - 3 == times.ndim else
+                           f"row {row}: {text} at t = {times.ravel()[k]:g}") from None
     return list(np.moveaxis(e.reshape(x.shape), -3, 0))
 
 
@@ -163,17 +173,13 @@ def _sweep(s: CartanStructure, u, t: Times, with_point: bool) -> tuple:
     t_plus, t_minus = t + FD_STEP, t - FD_STEP
     with np.errstate(over="ignore", invalid="ignore"):
         *e_a, e, e_inv, e_plus_inv, e_plus, e_minus_inv, e_minus = _exps(
-            *([t * a] if with_point else []), t * s2, -t * s2,
+            times, *([t * a] if with_point else []), t * s2, -t * s2,
             -t_plus * s2, t_plus * s2, -t_minus * s2, t_minus * s2)
         gamma = e_a[0] @ e if with_point else None
         w = e_inv @ a @ e + s2
         w_dot = ((e_plus_inv @ a @ e_plus + s2)
                  - (e_minus_inv @ a @ e_minus + s2)) / (2.0 * FD_STEP)
-        defect = w_dot + nabla(s, w, w)
-        # one slice at a time: norm(axis=(-2, -1)) is not bit-equal to it
-        residual = np.array([np.linalg.norm(d) for d in
-                             defect.reshape(-1, *defect.shape[-2:])]
-                            ).reshape(defect.shape[:-2])
+        residual = _norms(w_dot + nabla(s, w, w))
     _raise_first(np.isfinite(residual), times, "geodesic residual")
     if with_point:
         _raise_first(np.isfinite(gamma).all(axis=(-2, -1)), times, "geodesic point")

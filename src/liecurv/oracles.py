@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import REAL, bracket, random_matrix
+from .algebra import COMPLEX, REAL, _norms, bracket, random_matrix
 from .cartan import CartanStructure, standard_basis
 from .errors import DimensionMismatch, IncompleteBasis
 
@@ -167,7 +167,7 @@ _MAX_ATTEMPTS = 200
 _DEGREE = 3
 
 
-def commuting_pair(seed: int, n: int, field: str = REAL,
+def commuting_pair(seed: int | Sequence[int], n: int, field: str = REAL,
                    symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Two unit-norm exactly-commuting matrices: random polynomials in one matrix.
 
@@ -177,38 +177,51 @@ def commuting_pair(seed: int, n: int, field: str = REAL,
     commutator norm exceeds 1e-12. With symmetric=True the base matrix is symmetrized
     (Hermitian over the complex field), so both outputs are symmetric as
     well. Deterministic per seed.
+
+    A sequence of m seeds (a range, say) gives two (m, n, n) stacks, row i
+    bit-equal to the call with seeds[i]: the attempts of all seeds are
+    formed as one stack, and only the rejected seeds draw again.
     """
     if n < 2:
         raise DimensionMismatch(f"commuting pairs need n >= 2, got {n}")
-    rng = np.random.default_rng(seed)
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    rngs = [np.random.default_rng(x) for x in seeds]
+    out = np.empty((2, len(seeds), n, n), complex if field == COMPLEX else float)
+    done = np.zeros(len(seeds), dtype=bool)
     for _ in range(_MAX_ATTEMPTS):
-        m = random_matrix(rng, n, field)
+        rows = np.flatnonzero(~done)
+        if not len(rows):
+            break
+        m = np.array([random_matrix(rngs[i], n, field) for i in rows])
         if symmetric:
-            m = 0.5 * (m + np.conj(m).T)
-        m_norm = np.linalg.norm(m)
-        if m_norm == 0.0:
-            continue
-        m = m / m_norm
+            m = 0.5 * (m + np.conj(m).swapaxes(-1, -2))
+        m_norm = _norms(m)
+        # a zero draw is redrawn before it takes its coefficients
+        drawn = m_norm != 0.0
+        rows, m = rows[drawn], m[drawn] / m_norm[drawn, None, None]
+        a, b = np.empty((2, len(rows), _DEGREE + 1))
+        for j, i in enumerate(rows):
+            a[j] = rngs[i].uniform(-1.0, 1.0, size=_DEGREE + 1)
+            b[j] = rngs[i].uniform(-1.0, 1.0, size=_DEGREE + 1)
         powers = [np.eye(n, dtype=m.dtype)]
         for _ in range(_DEGREE):
             powers.append(powers[-1] @ m)
-        a = rng.uniform(-1.0, 1.0, size=_DEGREE + 1)
-        b = rng.uniform(-1.0, 1.0, size=_DEGREE + 1)
-        u = _combine(powers, a)
-        v = _combine(powers, b)
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu < _MIN_COMBINATION_NORM or nv < _MIN_COMBINATION_NORM:
-            continue
-        u = u / nu
-        v = v / nv
-        if np.linalg.norm(bracket(u, v)) <= _COMMUTATOR_CEILING:
-            return u, v
-    raise RuntimeError(
-        f"no admissible commuting pair in {_MAX_ATTEMPTS} draws (seed {seed})")
+        u, v = _combine(powers, a), _combine(powers, b)
+        nu, nv = _norms(u), _norms(v)
+        u, v = u / nu[:, None, None], v / nv[:, None, None]
+        ok = ((nu >= _MIN_COMBINATION_NORM) & (nv >= _MIN_COMBINATION_NORM)
+              & (_norms(bracket(u, v)) <= _COMMUTATOR_CEILING))
+        out[:, rows[ok]] = u[ok], v[ok]
+        done[rows[ok]] = True
+    if not done.all():
+        raise RuntimeError(f"no admissible commuting pair in {_MAX_ATTEMPTS} "
+                           f"draws (seed {seeds[np.argmin(done)]})")
+    return (out[0, 0], out[1, 0]) if np.ndim(seed) == 0 else (out[0], out[1])
 
 
 def _combine(powers: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(powers[0])
-    for c, p in zip(coeffs, powers):
-        acc = acc + float(c) * p
+    """sum_k coeffs[:, k] powers[k]: one row of coefficients per matrix."""
+    acc = np.zeros_like(powers[-1])
+    for c, p in zip(coeffs.T, powers):
+        acc = acc + c[:, None, None] * p
     return acc

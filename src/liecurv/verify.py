@@ -16,10 +16,12 @@ generic suites run on the structure passed in (default gl:real:3, plus a
 multi-size sweep for the oracle and Riemann suites when no structure is
 forced). Sampled suites draw stacks of at most 1024 rows
 (curvature._CHUNK_ROWS) in pair-by-pair order, take closed-form quartics
-from sections and pass the same stacks to each reference but quartic_special.
-The geodesic suites pass all their tangents and times to each geodesic
-function as one stack; the subgroup sweeps take one tangent per call, as
-each totally_geodesic_check reports one curve.
+from sections and pass the same stacks to each reference, quartic_special
+included; the commuting suites draw each stack of pairs with one
+commuting_pair call over a range of seeds. The geodesic suites pass all
+their tangents and times to each geodesic function as one stack; the
+subgroup sweeps take one tangent per call, as each totally_geodesic_check
+reports one curve.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 import scipy
 
 from . import curvature
-from .algebra import bracket, random_matrix
+from .algebra import _norms, bracket, random_matrix
 from .cartan import (CartanStructure, gl_complex, gl_real, standard_basis,
                      theta_part, validate)
 from .curvature import (bracket_norm_identity_gap, quartic, quartic_commuting,
@@ -259,9 +261,7 @@ def _commuting_pairs(first_seed: int, count: int, n: int,
     """commuting_pair(first_seed + i, n, **kwargs), i < count, in stacks."""
     step, end = curvature._CHUNK_ROWS, first_seed + count
     for i in range(first_seed, end, step):
-        seeds = range(i, min(i + step, end))
-        u, v = zip(*(commuting_pair(seed, n, **kwargs) for seed in seeds))
-        yield np.stack(u), np.stack(v)
+        yield commuting_pair(range(i, min(i + step, end)), n, **kwargs)
 
 
 def _oracle_suite(plan: tuple[CartanStructure, ...], rng: np.random.Generator,
@@ -285,7 +285,7 @@ def _sign_suites(s: CartanStructure, rng: np.random.Generator,
          (-sections(s, p1, k2)[0].quartic).max(),
          (-sections(s, g1, k1)[0].quartic).max(),
          rel_gap(sections(s, g2, p2)[0].quartic,
-                 [quartic_special(s, *gp)[0] for gp in zip(g2, p2)]).max()]
+                 quartic_special(s, g2, p2)[0]).max()]
         for p1, p2, k1, k2, g1, g2 in _draws(s, rng, trials, "ppkkgg")]
     names = ("sign_pp", "sign_kk", "sign_pk", "sign_gk", "match_gp")
     return [_suite(name, worst, SIGN_BOUND if name != "match_gp" else
@@ -348,8 +348,7 @@ def _geodesic_suite(s: CartanStructure, rng: np.random.Generator) -> SuiteResult
 def _tangents(s: CartanStructure, rng: np.random.Generator, count: int) -> np.ndarray:
     """count random_matrix draws of s, each scaled down to norm 2 if longer."""
     u = random_matrix(rng, s.n, s.field, (count,))
-    # one norm per matrix: the norm of a stack sums in another order
-    norms = np.array([np.linalg.norm(x) for x in u])[:, None, None]
+    norms = _norms(u)[:, None, None]
     return np.where(norms > 2.0, (2.0 / norms) * u, u)
 
 
@@ -362,10 +361,8 @@ def _subgroup_suites(rng: np.random.Generator) -> list[SuiteResult]:
         worst = 0.0
         tangents = spec.project(
             random_matrix(rng, spec.n, shape=(SUBGROUP_TANGENTS,)))
-        # one norm per matrix: the norm of a stack sums in another order
-        for u in tangents:
-            u_norm = np.linalg.norm(u)
-            u = u / u_norm if u_norm > 0 else u
+        norms = _norms(tangents)[:, None, None]
+        for u in tangents / np.where(norms > 0, norms, 1.0):
             worst = max(worst, totally_geodesic_check(spec, u, t_max=2.0).max_defect)
         out.append(_suite(suite_name, worst, SUBGROUP_BOUND,
                           detail={"tangents": SUBGROUP_TANGENTS, "t_max": 2.0}))

@@ -146,12 +146,16 @@ def test_matrix_exp_overflow():
 
 
 def test_stacked_matrix_exp_overflow_names_the_first_bad_slice():
-    # slices 0 and 1 are finite, 2 and 3 overflow: the text names slice 2
+    # slices 0 and 1 are finite, 2 and 3 overflow: the text names slice 2,
+    # by its flat index in a stack of any leading shape
     stack = np.array([s * np.eye(2) for s in (1.0, 300.0, 800.0, 2000.0)])
-    with pytest.raises(Overflow, match=r"of norm 1\.13e\+03$"):
+    text = r"^slice 2: exponential overflowed for a matrix of norm 1\.13e\+03$"
+    with pytest.raises(Overflow, match=text):
         matrix_exp(stack)
-    with pytest.raises(Overflow, match=r"of norm 1\.13e\+03$"):
+    with pytest.raises(Overflow, match=text):
         matrix_exp(stack.reshape(2, 2, 2, 2))
+    with pytest.raises(Overflow, match=r"^exponential overflowed .* 1\.13e\+03$"):
+        matrix_exp(stack[2])
 
 
 def test_matrix_exp_matches_closed_forms_on_both_sides_of_the_scaling_norm():

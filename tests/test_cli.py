@@ -408,6 +408,20 @@ def test_geodesic_complex_csv_rejected(capsys):
     assert code == 2
 
 
+def test_geodesic_complex_csv_is_refused_before_the_trace(monkeypatch, capsys):
+    # the trace of a long grid costs time and memory that a refusal wastes
+    def traced(*args, **kwargs):
+        raise AssertionError("the trace ran")
+
+    monkeypatch.setattr(cli, "geodesic_trace", traced)
+    u = json.dumps({"n": 2, "field": "complex",
+                    "entries": [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]})
+    code, out, err = run(capsys, "geodesic", "--u", u, "--format", "csv",
+                         "--steps", "20000")
+    assert (code, out) == (2, "")
+    assert "csv output supports real matrices only" in err
+
+
 # each of the first four was once read as a matrix of the size in the
 # second place; a negative n once reached numpy's reshape, which named
 # neither n nor the input, and n = 0 was caught only by MatrixElement

@@ -295,7 +295,6 @@ def test_forms_of_one_plane_reject_a_stack():
     s = gl_real(2)
     stack = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
     for fn in (s.b_theta, lambda u, v: quartic(s, u, v), lambda u, v: sectional(s, u, v),
-               lambda u, v: quartic_special(s, u, v),
                lambda u, v: pure_class(s, u)):
         with pytest.raises(DimensionMismatch):
             fn(stack, stack)

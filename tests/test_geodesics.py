@@ -15,6 +15,7 @@ from liecurv import curvature, geodesics, verify
 
 SKEW_3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 SYM_3 = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 0.5]])
+SKEW_BIG = np.array([[0.0, 1e100], [-1e100, 0.0]])
 norm = np.linalg.norm
 
 
@@ -419,6 +420,33 @@ def test_a_stack_names_the_row_and_the_time_that_overflow(monkeypatch, chunk):
 def test_stacked_residual_names_the_first_time_that_is_not_finite():
     with pytest.raises(Overflow, match=r"at t = 0\.5 is"):
         geodesic_residual(gl_real(3), 1e200 * SYM_3, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("f, bad, times, at", [
+    (geodesic_residual, SKEW_BIG, 0.5, "0.5"),
+    (geodesic_residual, SKEW_BIG, [0.0, 0.5], "0"),
+    (geodesic_point, 2000.0 * np.eye(2), 0.5, "0.5"),
+    (geodesic_point, 2000.0 * np.eye(2), [0.0, 0.5], "0.5")],
+    ids=["residual-t", "residual-grid", "point-t", "point-grid"])
+def test_a_stacked_exponential_overflow_names_its_row_and_t(
+        monkeypatch, chunk, f, bad, times, at):
+    # the residual's exp(-+h s2) of the skew tangent overflows at t = 0, the
+    # point's exp(t a) of 2000 I at t = 0.5; a stack names the row and t
+    # around the text of the one-tangent call, also where chunks of 3
+    # exponentials put the failure past the first chunk
+    if chunk is not None:
+        monkeypatch.setattr(geodesics, "_EXP_CHUNK", chunk)
+    s = gl_real(2)
+    with pytest.raises(Overflow, match="^exponential overflowed") as one:
+        f(s, bad, times)
+    rng = np.random.default_rng(83)
+    for shape, flat in (((2,), 1), ((2, 2), 2)):
+        u = random_matrix(rng, 2, shape=shape)
+        u.reshape(-1, 2, 2)[flat] = bad
+        with pytest.raises(Overflow) as stacked:
+            f(s, u, times)
+        assert str(stacked.value) == f"row {flat}: {one.value} at t = {at}"
 
 
 def test_an_overflowing_trace_fails_where_a_sweep_in_t_does():

@@ -12,11 +12,12 @@ import liecurv.cartan
 import liecurv.oracles
 import liecurv.verify
 from liecurv import (COMPLEX, REAL, CartanStructure, DimensionMismatch,
-                     IncompleteBasis, MatrixElement, NotCommuting, bracket,
+                     IncompleteBasis, MatrixElement, NotCommuting,
+                     NotPureType, bracket,
                      bracket_norm_identity_gap, commuting_pair, gl_complex,
                      gl_real, nabla, nabla_from_metric, quartic,
                      quartic_commuting, quartic_from_definition,
-                     random_matrix, riemann_from_metric, standard_basis,
+                     quartic_special, random_matrix, riemann_from_metric, standard_basis,
                      theta_split)
 from liecurv.oracles import _default_frame, _frame
 from liecurv.verify import rel_gap, run_verify
@@ -332,9 +333,9 @@ def test_commuting_theorem_keeps_the_field_of_a_1x1_structure(monkeypatch):
     # seed + i, the other commuting suites seed + 10_000 and up.
     drawn = {}
 
-    def recording(seed, n, field=REAL, symmetric=False):
-        drawn[seed] = (n, field)
-        return commuting_pair(seed, n, field=field, symmetric=symmetric)
+    def recording(seeds, n, field=REAL, symmetric=False):
+        drawn.update(dict.fromkeys(seeds, (n, field)))
+        return commuting_pair(seeds, n, field=field, symmetric=symmetric)
 
     monkeypatch.setattr(liecurv.verify, "commuting_pair", recording)
     report = run_verify(gl_complex(1), seed=42, trials=2)
@@ -393,7 +394,7 @@ def test_stacked_references_rows_are_bit_equal_to_one_pair_calls(
 
 
 @pytest.mark.parametrize("fn", [quartic_from_definition, quartic_commuting,
-                                bracket_norm_identity_gap])
+                                quartic_special, bracket_norm_identity_gap])
 def test_stacked_references_take_stacks_of_one_shape(fn):
     s = gl_real(2)
     stack = random_matrix(np.random.default_rng(3), 2, REAL, (3,))
@@ -413,6 +414,110 @@ def test_quartic_commuting_names_the_first_row_that_does_not_commute():
     with pytest.raises(NotCommuting, match=r"^\|\|\[u, v\]\|\| = "):
         quartic_commuting(s, u[3], v[3])
     assert quartic_commuting(s, u[:3], v[:3]).shape == (3,)
+
+
+def _hex(a) -> list[str]:
+    """The entries of a real or complex array as hex strings."""
+    return [x.hex() for x in np.ascontiguousarray(a).view(float).ravel().tolist()]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("n", range(2, 7))
+@settings(database=None, derandomize=True, max_examples=3, deadline=None)
+@given(start=st.integers(0, 2**32 - 50), count=st.integers(0, 40))
+def test_commuting_pair_seed_ranges_are_bit_equal_to_one_seed_calls(
+        n, field, symmetric, start, count):
+    # 2-9% of seeds need a second attempt, which the stack draws for them
+    # alone; each row must still be its seed's pair bit for bit
+    seeds = range(start, start + count)
+    u, v = commuting_pair(seeds, n, field, symmetric)
+    assert u.shape == v.shape == (count, n, n)
+    for i, seed in enumerate(seeds):
+        one = commuting_pair(seed, n, field, symmetric)
+        assert (_hex(u[i]), _hex(v[i])) == tuple(map(_hex, one))
+
+
+@pytest.mark.parametrize("seed, n, field, symmetric", [
+    (6, 2, REAL, False), (91, 3, REAL, False), (14, 3, REAL, True),
+    (212, 2, COMPLEX, False)])
+def test_commuting_pair_redraws_only_the_rejected_seeds(
+        monkeypatch, seed, n, field, symmetric):
+    # seed's first attempt is rejected, its neighbours' are not
+    attempts = []
+    real_draw = liecurv.oracles.random_matrix
+
+    def counting(rng, *args):
+        attempts.append(rng)
+        return real_draw(rng, *args)
+
+    monkeypatch.setattr(liecurv.oracles, "random_matrix", counting)
+    one = commuting_pair(seed, n, field, symmetric)
+    assert len(attempts) == 2
+    attempts.clear()
+    seeds = range(seed - 3, seed + 4)
+    u, v = commuting_pair(seeds, n, field, symmetric)
+    assert len(attempts) == len(seeds) + 1
+    assert (_hex(u[3]), _hex(v[3])) == tuple(map(_hex, one))
+    for i, x in enumerate(seeds):
+        assert (_hex(u[i]), _hex(v[i])) == tuple(map(
+            _hex, commuting_pair(x, n, field, symmetric)))
+
+
+def test_commuting_pair_names_a_seed_that_yields_no_pair(monkeypatch):
+    # with one attempt, seed 6 of gl(2, R) is the first of 0..9 left over
+    monkeypatch.setattr(liecurv.oracles, "_MAX_ATTEMPTS", 1)
+    with pytest.raises(RuntimeError, match=r"in 1 draws \(seed 6\)$"):
+        commuting_pair(range(10), 2)
+    with pytest.raises(RuntimeError, match=r"in 1 draws \(seed 6\)$"):
+        commuting_pair(6, 2)
+    assert commuting_pair(range(6), 2)[0].shape == (6, 2, 2)
+
+
+# rows of quartic_special stacks by the parts of u and v: every tag, and
+# the zero matrix ("0"), which counts as pure
+SPECIAL_ROWS = [("p", "p"), ("k", "k"), ("p", "k"), ("k", "p"), ("g", "p"),
+                ("g", "k"), ("0", "k"), ("g", "0"), ("0", "0")]
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(database=None, derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=LEADING)
+@example(seed=5, shape=(9,))
+def test_stacked_quartic_special_rows_are_bit_equal_to_one_pair_calls(
+        n, field, seed, shape):
+    s = CartanStructure(n, field)
+    rng = np.random.default_rng(seed)
+    x = random_matrix(rng, n, field, (2, math.prod(shape)))
+    kinds = [SPECIAL_ROWS[(seed + i) % len(SPECIAL_ROWS)] for i in range(len(x[0]))]
+    u, v = (np.stack([np.zeros((n, n), x.dtype) if part == "0" else
+                      liecurv.cartan.theta_part(s, row, part)
+                      for row, part in zip(x[j], parts)]).reshape(*shape, n, n)
+            for j, parts in enumerate(zip(*kinds)))
+    values, tags = quartic_special(s, u, v)
+    assert values.shape == tags.shape == shape
+    pairs = [quartic_special(s, a, b) for a, b in
+             zip(u.reshape(-1, n, n), v.reshape(-1, n, n))]
+    assert all(type(x) is float and type(t) is str for x, t in pairs)
+    assert [x.hex() for x in values.ravel().tolist()] == [x.hex() for x, _ in pairs]
+    assert tags.ravel().tolist() == [t for _, t in pairs]
+    if n >= 2 and len(pairs) >= len(SPECIAL_ROWS):
+        assert {t for _, t in pairs} == {"p_p", "k_k", "p_k", "k_p", "g_p", "g_k"}
+
+
+def test_stacked_quartic_special_names_the_first_row_with_a_mixed_v():
+    s = gl_real(2)
+    rng = np.random.default_rng(89)
+    u = random_matrix(rng, 2, shape=(2, 2))
+    v = liecurv.cartan.theta_part(s, random_matrix(rng, 2, shape=(2, 2)), "p")
+    v[1, 0] = v[1, 1] = [[1.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(NotPureType, match=r"^row 2: vector mixes p and k "):
+        quartic_special(s, u, v)
+    with pytest.raises(NotPureType, match=r"^vector mixes p and k "):
+        quartic_special(s, u[1, 0], v[1, 0])
+    values, tags = quartic_special(s, u[0], v[0])
+    assert values.shape == (2,) and tags.tolist() == ["g_p", "g_p"]
 
 
 def test_stacked_oracle_keeps_its_temporaries_in_blocks():

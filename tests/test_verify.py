@@ -273,3 +273,34 @@ def test_sampled_suites_pass_sections_at_most_the_chunk_bound(monkeypatch):
                     "_commuting_suite": 20,
                     "_flat_2x2_suite": 20,
                     "_symmetric_iff_suite": IFF_RANDOM_PAIRS + IFF_COMMUTING_PAIRS}
+
+
+def test_the_commuting_and_special_references_take_one_call_per_chunk(
+        monkeypatch):
+    monkeypatch.setattr(curvature, "_CHUNK_ROWS", 7)
+    real_timed = verify._timed
+    real_pair, real_special = verify.commuting_pair, verify.quartic_special
+    suites, calls = [], []
+
+    def timed(make, *args):
+        suites.append(make.__name__)
+        return real_timed(make, *args)
+
+    def recording_pair(seeds, n, **kwargs):
+        calls.append(("commuting_pair", suites[-1], len(seeds)))
+        return real_pair(seeds, n, **kwargs)
+
+    def recording_special(s, u, v):
+        calls.append(("quartic_special", suites[-1], len(u)))
+        return real_special(s, u, v)
+
+    monkeypatch.setattr(verify, "_timed", timed)
+    monkeypatch.setattr(verify, "commuting_pair", recording_pair)
+    monkeypatch.setattr(verify, "quartic_special", recording_special)
+    run_verify(trials=20)
+    assert calls == (
+        [("quartic_special", "_sign_suites", n) for n in (7, 7, 6)]
+        + [("commuting_pair", "_commuting_suite", n) for n in (7, 7, 6)]
+        + [("commuting_pair", "_flat_2x2_suite", n) for n in (7, 7, 6)]
+        + [("commuting_pair", "_symmetric_iff_suite", n)
+           for n in (7,) * (IFF_COMMUTING_PAIRS // 7) + (1,)])
