@@ -184,7 +184,8 @@ def commuting_pair(seed: int | Sequence[int], n: int, field: str = REAL,
     """
     if n < 2:
         raise DimensionMismatch(f"commuting pairs need n >= 2, got {n}")
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    one = np.ndim(seed) == 0
+    seeds = [seed] if one else list(seed)
     rngs = [np.random.default_rng(x) for x in seeds]
     out = np.empty((2, len(seeds), n, n), complex if field == COMPLEX else float)
     done = np.zeros(len(seeds), dtype=bool)
@@ -216,7 +217,7 @@ def commuting_pair(seed: int | Sequence[int], n: int, field: str = REAL,
     if not done.all():
         raise RuntimeError(f"no admissible commuting pair in {_MAX_ATTEMPTS} "
                            f"draws (seed {seeds[np.argmin(done)]})")
-    return (out[0, 0], out[1, 0]) if np.ndim(seed) == 0 else (out[0], out[1])
+    return (out[0, 0], out[1, 0]) if one else (out[0], out[1])
 
 
 def _combine(powers: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
