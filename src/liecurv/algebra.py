@@ -153,14 +153,22 @@ def random_matrix(rng: np.random.Generator, n: int, field: str = REAL,
 # numbers, complex entries are [re, im] pairs.
 
 
-def matrix_to_json(u) -> dict:
+def matrix_to_json(u) -> dict | list:
+    """The wire form of one matrix, or for a (..., n, n) stack the nested
+    list of its matrices' wire forms, from one tolist() of the stack."""
     u = np.asarray(u)
-    field = field_of(u)
+    n, field = u.shape[-1], field_of(u)
     if field == COMPLEX:
-        entries = np.stack([u.real, u.imag], -1).reshape(-1, 2).tolist()
+        entries = np.stack([u.real, u.imag], -1).reshape(
+            *u.shape[:-2], n * n, 2).tolist()
     else:
-        entries = u.ravel().astype(float).tolist()
-    return {"n": u.shape[0], "field": field, "entries": entries}
+        entries = u.reshape(*u.shape[:-2], n * n).astype(float).tolist()
+
+    def wire(e, depth):
+        if depth:
+            return [wire(x, depth - 1) for x in e]
+        return {"n": n, "field": field, "entries": e}
+    return wire(entries, u.ndim - 2)
 
 
 def matrix_from_json(obj: Any) -> MatrixElement:

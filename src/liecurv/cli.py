@@ -14,8 +14,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -158,7 +161,65 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(obj: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(obj, indent=2), out)
+    _emit(_json_text(obj), out)
+
+
+# json's C encoder; json.dumps with an indent runs its pure-Python encoder
+_encode = json.JSONEncoder().encode
+_SCALARS = frozenset((int, float, bool, type(None)))
+_ARRAYS = frozenset((list, tuple))
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """The text of json.dumps(obj, indent=2), byte for byte, for an object
+    nested at the indentation pad.
+
+    A non-empty list of scalars (no strings), or of non-empty lists of
+    scalars such as complex entries, is encoded in one call of the C encoder
+    and then laid out: its ", " and "], [" separators cannot occur inside a
+    number or a literal. Keys are coerced as json coerces them.
+    """
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types <= _SCALARS:
+            body = _encode(obj)[1:-1].replace(", ", ",\n" + inner)
+        elif (types <= _ARRAYS and all(obj)
+              and set(map(type, chain.from_iterable(obj))) <= _SCALARS):
+            deeper = inner + "  "
+            body = ("[\n" + deeper + _encode(obj)[2:-2]
+                    .replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
+                    .replace(", ", ",\n" + deeper) + "\n" + inner + "]")
+        else:
+            body = (",\n" + inner).join(_json_text(x, inner) for x in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = (",\n" + inner).join(
+            encode_basestring_ascii(_json_key(k)) + ": " + _json_text(v, inner)
+            for k, v in obj.items())
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    # literals, NaN and infinities, subclasses, and the TypeError of a value
+    # that is not JSON, as the encoder has them
+    return _encode(obj)
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return _json_text(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(k).__name__}")
 
 
 def cmd_section(args) -> int:
@@ -270,12 +331,12 @@ def cmd_geodesic(args) -> int:
     if args.format == "json":
         payload = {"structure": s.name, "t_max": args.t_max, "steps": args.steps,
                    "max_residual": float(trace.residual.max()),
-                   "samples": [{"t": t, "residual": r,
-                                "gamma": matrix_to_json(gamma),
-                                "omega": matrix_to_json(omega)}
+                   "samples": [{"t": t, "residual": r, "gamma": gamma,
+                                "omega": omega}
                                for t, r, gamma, omega in zip(
                                    trace.t.tolist(), trace.residual.tolist(),
-                                   trace.gamma, trace.omega)]}
+                                   matrix_to_json(trace.gamma),
+                                   matrix_to_json(trace.omega))]}
         _emit_json(payload, args.out)
     else:
         n = u.n

@@ -35,7 +35,6 @@ from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
-import scipy
 
 from . import curvature
 from .algebra import _norms, bracket, random_matrix
@@ -137,9 +136,16 @@ class VerifyReport:
 
 
 def _environment() -> dict:
+    """Versions and cpu count; scipy is no dependency, so its version is
+    None when it cannot be imported."""
     from . import __version__  # set by the package after this module loads
+    try:
+        import scipy
+        scipy_version = scipy.__version__
+    except ImportError:
+        scipy_version = None
     return {"liecurv": __version__, "numpy": np.__version__,
-            "scipy": scipy.__version__, "python": platform.python_version(),
+            "scipy": scipy_version, "python": platform.python_version(),
             "cpu_count": os.cpu_count()}
 
 

@@ -196,8 +196,9 @@ def test_matrix_exp_stack_mixing_scalings_is_bit_equal_slice_by_slice():
             assert np.array_equal(whole[k], matrix_exp(a))
 
 
-def test_importing_the_cli_leaves_scipy_linalg_unloaded():
-    code = "import sys, liecurv.cli; print('scipy.linalg' in sys.modules)"
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = ("import sys, liecurv.cli; print(any(m.split('.')[0] == 'scipy' "
+            "for m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
@@ -272,6 +273,17 @@ def test_json_round_trip_complex():
     again = matrix_from_json(obj)
     assert again.field == COMPLEX
     assert np.array_equal(again.data, u)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_json_wire_form_of_a_stack_lists_its_matrices(field):
+    stack = random_matrix(np.random.default_rng(5), 3, field, (2, 4))
+    stack[0, 1, 2, 0] = -0.0
+    assert matrix_to_json(stack) == [[matrix_to_json(m) for m in row]
+                                     for row in stack]
+    # the same floats, -0.0 included, not only equal ones
+    assert repr(matrix_to_json(stack[0])) == repr(
+        [matrix_to_json(m) for m in stack[0]])
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -5,11 +5,14 @@ import json
 import math
 import re
 import shlex
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liecurv import (DegenerateSection, DimensionMismatch, IncompleteBasis,
                      LieCurvError, NotCommuting, NotPureType, Overflow,
@@ -195,6 +198,14 @@ def test_verify_certificate_records_times_and_environment(capsys):
     assert sum(times) <= payload["elapsed_seconds"]
     riemann = {s["name"]: s for s in payload["suites"]}["riemann_identities"]
     assert list(riemann["detail"]) == ["gl:real:2"]
+
+
+def test_verify_certificate_without_scipy_records_null(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)  # import scipy fails
+    code, out, _ = run(capsys, "verify", "--structure", "gl:real:2",
+                       "--trials", "1")
+    assert code == 0
+    assert json.loads(out)["environment"]["scipy"] is None
 
 
 def test_verify_impossible_tolerance_fails(capsys):
@@ -595,3 +606,76 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out):
         exec(snippet, {})
     assert out.getvalue().split()[0] == "-40.5"
+
+
+# -- the JSON text ------------------------------------------------------------
+
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+_NUMBERS = (st.none() | st.booleans() | _FLOATS
+            | st.integers(-2**200, 2**200) | _FLOATS.map(np.float64))
+_STRINGS = st.text() | st.sampled_from(
+    [", ", "]", "], [", '"', "\\", "\u00e9, ]"])
+_KEYS = _STRINGS | st.integers() | _FLOATS | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    _NUMBERS | _STRINGS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.lists(st.lists(_NUMBERS, min_size=1, max_size=3),
+                              min_size=1, max_size=3)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=30)
+
+
+# the emitter coerces keys as json does: numbers, bools and None become
+# their JSON text
+@settings(database=None, derandomize=True, max_examples=400)
+@given(JSON_VALUES)
+@example([[]])
+@example([[1.0], []])
+@example([1, [2]])
+@example([[1, [2]], 3])
+@example([5, [[1]]])
+@example({1: [[1.5, -0.0]], None: [True, None], 2.5: [], "": {}})
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 0}, [object()], {"a": {1j: 0}}],
+                         ids=["tuple_key", "object", "complex_key"])
+def test_json_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as ours:
+        cli._json_text(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+_ELAPSED = re.compile(r'"elapsed_seconds": [^,\n]+')
+COMPLEX_3 = json.dumps({"n": 3, "field": "complex", "entries": [
+    [0, 1], [1, 0], [0, 0], [-1, 0], [0.5, 0], [0, 0.5], [0, 0], [0, 0.5],
+    [0, -1]]})
+
+
+# every command that writes JSON writes what json.dumps(indent=2) writes, to
+# stdout and to --out alike
+@pytest.mark.parametrize("argv, code", [
+    (["section", "--u", U_2X2, "--v", V_2X2], 0),
+    (["verify", "--structure", "gl:real:2", "--trials", "5"], 0),
+    (["sample", "--structure", "gl:complex:2", "--trials", "3",
+      "--format", "json"], 0),
+    (["geodesic", "--u", SKEW_3, "--steps", "5"], 0),
+    (["geodesic", "--structure", "gl:complex:3", "--u", COMPLEX_3,
+      "--steps", "5"], 0),
+    (["subgroup", "--group", "so:3", "--u", SKEW_3], 0),
+    (["subgroup", "--group", "ut:3", "--u",
+      "[[0,1,0],[0,0,0],[0,0,0]]"], 1),
+], ids=["section", "verify", "sample", "geodesic_real", "geodesic_complex",
+        "subgroup_pass", "subgroup_fail"])
+def test_json_output_is_json_dumps_with_indent_2(capsys, tmp_path, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    target = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert _ELAPSED.sub("", target.read_text()) == _ELAPSED.sub("", out)
