@@ -103,6 +103,17 @@ def matrix_exp(u) -> np.ndarray:
     and for a stack its flat index as "slice i: ".
     """
     u = np.asarray(u)
+    out, overflow = _exp(u)
+    if overflow:
+        i, text = overflow
+        raise Overflow((f"slice {i}: " if u.ndim > 2 else "") + text)
+    return out
+
+
+def _exp(u: np.ndarray) -> tuple:
+    """matrix_exp of an array without the raise: the exponentials, and for
+    the first slice that is not finite its flat index and the Overflow
+    text (None if every slice is finite)."""
     c = _PADE13
     with np.errstate(over="ignore", invalid="ignore"):
         norm1 = np.abs(u).sum(axis=-2).max(axis=-1)
@@ -122,12 +133,12 @@ def matrix_exp(u) -> np.ndarray:
         for k in range(int(s.max(initial=0))):
             out = np.where((k < s)[..., None, None], out @ out, out)
         out[bad] = np.nan
-        if not np.all(np.isfinite(out)):
-            i = int(np.argmin(np.isfinite(out).all(axis=(-2, -1)).ravel()))
-            norm = np.linalg.norm(u.reshape(-1, *u.shape[-2:])[i])
-            raise Overflow((f"slice {i}: " if u.ndim > 2 else "") +
-                           f"exponential overflowed for a matrix of norm {norm:.3g}")
-    return out
+        finite = np.isfinite(out).all(axis=(-2, -1)).ravel()
+        if finite.all():
+            return out, None
+        i = int(np.argmin(finite))
+        norm = np.linalg.norm(u.reshape(-1, *u.shape[-2:])[i])
+    return out, (i, f"exponential overflowed for a matrix of norm {norm:.3g}")
 
 
 def random_matrix(rng: np.random.Generator, n: int, field: str = REAL,

@@ -56,36 +56,39 @@ class CartanStructure:
         gl(n, R), 2 n^2 for gl(n, C))."""
         return self.n * self.n * (2 if self.field == COMPLEX else 1)
 
-    def b_theta(self, u, v) -> float:
+    def b_theta(self, u, v):
         """Derived inner product -B(u, theta v): the metric everything
         downstream uses. DimensionMismatch unless u and v are members."""
-        return float(self.b_theta_stack(self.check_member(u), self.check_member(v)))
+        return _per_row(self.b_theta_stack(*self.check_stacks(u, v)))
 
     def b_theta_stack(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """b_theta slice by slice on two stacks of matrices, unchecked: an
-        array of the stack shape (0-d for two matrices). Each value is
-        bit-equal to b_theta of its slices."""
+        """b_theta on (..., n, n) arrays, unchecked, so numpy broadcasts
+        their shapes: an array (0-d for two matrices)."""
         # 0.0 - x is -x for every x but +0.0, which it keeps unsigned
         return 0.0 - _trace_form(u, self.theta(v))
 
-    def check_member(self, u, stack: bool = False) -> np.ndarray:
-        """u as an ndarray; DimensionMismatch unless it is an n x n matrix
-        over the structure's field (with stack=True, or a stack of them on
-        its last two axes)."""
+    def check_member(self, u) -> np.ndarray:
+        """u as an ndarray; DimensionMismatch unless it is an n x n matrix,
+        or a stack of them on its last two axes, over the structure's field."""
         u = np.asarray(u)
-        if ((u.shape[-2:] if stack else u.shape) != (self.n, self.n)
-                or field_of(u) != self.field):
+        if u.shape[-2:] != (self.n, self.n) or field_of(u) != self.field:
             shape = "x".join(map(str, u.shape))
             raise DimensionMismatch(
                 f"{shape} {field_of(u)} matrix does not belong to {self.name}")
         return u
 
     def check_stacks(self, u, v) -> tuple[np.ndarray, np.ndarray]:
-        """check_member(stack=True) of u and v, which must have one shape."""
-        u, v = self.check_member(u, stack=True), self.check_member(v, stack=True)
+        """check_member of u and v, which must have one shape."""
+        u, v = self.check_member(u), self.check_member(v)
         if u.shape != v.shape:
             raise DimensionMismatch(f"u and v differ in shape: {u.shape}, {v.shape}")
         return u, v
+
+
+def _per_row(x: np.ndarray):
+    """The values of a checked function, one per row: a float for one
+    matrix or pair (a 0-d x), else the array x."""
+    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def theta_split(s: CartanStructure, u) -> ThetaSplit:
 def theta_part(s: CartanStructure, u: np.ndarray, part: str) -> np.ndarray:
     """The theta-part of u: "p" or "k", or "g" for u itself. Slice by slice
     on a stack, and unchecked: u is a plain array. Every split in the
-    library goes through here; theta_split is its checked one-matrix form."""
+    library goes through here."""
     if part == "g":
         return u
     if part not in ("p", "k"):
@@ -157,17 +160,18 @@ def theta_part(s: CartanStructure, u: np.ndarray, part: str) -> np.ndarray:
     return p if part == "p" else u - p
 
 
-def pure_class(s: CartanStructure, u) -> str:
-    """Classify u as purely "p" or purely "k".
+def pure_class(s: CartanStructure, u):
+    """Classify u as purely "p" or purely "k", per row of a stack (a str
+    for one matrix).
 
     The off-class component must have norm <= PURITY_RTOL * ||u|| (with a small
     additive floor so the zero matrix counts as pure). Raises NotPureType for
-    genuinely mixed vectors, DimensionMismatch for a stack. The one-matrix
-    case of the test that quartic_special runs on stacks.
+    genuinely mixed vectors, naming the first such row of a stack.
     """
     classes, norms = _pure_classes(s, s.check_member(u))
     _require_pure(classes, norms)
-    return "pk"[classes]
+    tags = np.array(["p", "k"])[classes]
+    return str(tags) if tags.ndim == 0 else tags
 
 
 def _pure_classes(s: CartanStructure, u: np.ndarray) -> tuple:

@@ -40,6 +40,11 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_TANGENCY = 4
+# the exit code of an error, by the first of these types it is an instance of
+EXIT_CODES = {DegenerateSection: EXIT_DEGENERATE, TangentNotInAlgebra: EXIT_TANGENCY,
+              **dict.fromkeys((ValueError, OSError, UnknownGroup, DimensionMismatch,
+                               NotPureType, IncompleteBasis), EXIT_USAGE),
+              LieCurvError: EXIT_VERIFY_FAIL}
 
 # the sample strata, in output order, and the theta-parts of their two vectors
 STRATA = {"p_p": ("p", "p"), "k_k": ("k", "k"), "p_k": ("p", "k"),
@@ -123,19 +128,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except DegenerateSection as e:
+    except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except TangentNotInAlgebra as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TANGENCY
-    except (ValueError, OSError, json.JSONDecodeError, UnknownGroup,
-            DimensionMismatch, NotPureType, IncompleteBasis) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except LieCurvError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+        return next(code for error, code in EXIT_CODES.items()
+                    if isinstance(e, error))
 
 
 def _load_matrix(text: str) -> MatrixElement:
@@ -162,6 +158,14 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _emit_json(obj: dict, out: Optional[str]) -> None:
     _emit(_json_text(obj), out)
+
+
+def _emit_csv(header, rows, out: Optional[str]) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(buf.getvalue(), out)
 
 
 # json's C encoder; json.dumps with an indent runs its pure-Python encoder
@@ -265,11 +269,7 @@ def cmd_sample(args) -> int:
             rows.append((len(rows), tag, *values))
     header = ("seed_index", "case_tag", "quartic", "area_sq", "sectional")
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _emit(buf.getvalue(), args.out)
+        _emit_csv(header, rows, args.out)
     else:
         _emit_json({"structure": s.name, "seed": args.seed,
                     "rows_per_case": trials,
@@ -343,13 +343,9 @@ def cmd_geodesic(args) -> int:
         header = (["t", "residual"]
                   + [f"gamma_{i}{j}" for i in range(n) for j in range(n)]
                   + [f"omega_{i}{j}" for i in range(n) for j in range(n)])
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(np.column_stack(
+        _emit_csv(header, np.column_stack(
             [trace.t, trace.residual, trace.gamma.reshape(args.steps, -1),
-             trace.omega.reshape(args.steps, -1)]).tolist())
-        _emit(buf.getvalue(), args.out)
+             trace.omega.reshape(args.steps, -1)]).tolist(), args.out)
     return EXIT_OK
 
 

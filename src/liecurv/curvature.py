@@ -14,11 +14,12 @@ special-case formulas (pure-class pairs, mixed-by-pure pairs, commuting
 pairs) live in separate functions so they can be cross-checked against it
 rather than replace it.
 
-The general expression is evaluated by one kernel on (..., n, n) arrays,
-which quartic_terms and quartic run on one pair. sectional and sections
-share one evaluator around it (power-of-two rescaling, finiteness and
-degeneracy checks, scale-back): sectional is its one-pair case, and
-sections runs it on two stacks of m pairs.
+Every function takes one pair of matrices or two (..., n, n) stacks of one
+shape and returns one value per row, each bit-equal to the call on that
+row alone. The general expression is evaluated by one kernel, _terms, and
+sectional and sections share one evaluator around it (power-of-two
+rescaling, finiteness and degeneracy checks, scale-back): sectional raises
+for the first degenerate row, where sections returns a mask.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import bracket
-from .cartan import (CartanStructure, _pure_classes, _require_pure,
+from .cartan import (CartanStructure, _per_row, _pure_classes, _require_pure,
                      theta_part)
-from .errors import DegenerateSection, DimensionMismatch, NotCommuting, Overflow
+from .errors import DegenerateSection, NotCommuting, Overflow
 
 # A 2-plane is rejected as degenerate when its squared area falls below this
 # multiple of ||u||^2 ||v||^2.
@@ -39,8 +40,8 @@ DEGENERATE_AREA_RTOL = 1e-12
 # quartic_commuting: relative tolerance on the commutator norm
 COMMUTING_RTOL = 1e-10
 
-# sample and the sampled suites of verify draw and pass to sections at most
-# this many rows at a time, which bounds their memory for any --trials
+# sample and the sampled suites of verify draw and evaluate at most this
+# many rows at a time, which bounds their memory for any --trials
 _CHUNK_ROWS = 1024
 
 _NOT_FINITE = "the quartic or the squared area of the plane is not finite"
@@ -53,8 +54,8 @@ class SectionReport:
     quartic is <R(u,v)v, u>; area_sq is <u,u><v,v> - <u,v>^2; sectional is
     their ratio. term_pp, term_mixed, term_cross are the three summands of
     the general formula and add up to quartic exactly (the implementation
-    computes quartic as their sum). From sections, each field is an array
-    with one value per row.
+    computes quartic as their sum). Each field is a float for one pair, and
+    for stacks an array with one value per row.
     """
 
     quartic: float
@@ -67,19 +68,19 @@ class SectionReport:
 
 def nabla(s: CartanStructure, u, v) -> np.ndarray:
     """Covariant derivative of the left-invariant field v along u at the
-    identity; slice by slice when u and v are stacks on their last two axes."""
-    u, v = s.check_member(u, stack=True), s.check_member(v, stack=True)
+    identity."""
+    u, v = s.check_stacks(u, v)
     return 0.5 * (bracket(u, v) - bracket(u, s.theta(v)) - bracket(v, s.theta(u)))
 
 
-def quartic_terms(s: CartanStructure, u, v) -> tuple[float, float, float]:
+def quartic_terms(s: CartanStructure, u, v) -> tuple:
     """The three summands of the general quartic formula, in order
     (-2||[u1,v1]||^2, 1/4||[u,v]||^2, 2<[u1,v1],[u2,v2]>)."""
-    return tuple(map(float, _terms(s, s.check_member(u), s.check_member(v))))
+    return tuple(map(_per_row, _terms(s, *s.check_stacks(u, v))))
 
 
 def _terms(s: CartanStructure, u: np.ndarray, v: np.ndarray) -> tuple:
-    """quartic_terms slice by slice on (..., n, n) arrays, unchecked."""
+    """quartic_terms on (..., n, n) arrays, unchecked."""
     pu, pv = theta_part(s, u, "p"), theta_part(s, v, "p")
     b11 = bracket(pu, pv)
     b22 = bracket(u - pu, v - pv)
@@ -95,10 +96,10 @@ def _gram(s: CartanStructure, u: np.ndarray, v: np.ndarray) -> tuple:
     return s.b_theta_stack(u, u), s.b_theta_stack(v, v), s.b_theta_stack(u, v)
 
 
-def quartic(s: CartanStructure, u, v) -> float:
+def quartic(s: CartanStructure, u, v):
     """<R(u,v)v, u> by the general closed formula."""
-    t1, t2, t3 = quartic_terms(s, u, v)
-    return t1 + t2 + t3
+    t1, t2, t3 = _terms(s, *s.check_stacks(u, v))
+    return _per_row(t1 + t2 + t3)
 
 
 def sectional(s: CartanStructure, u, v) -> SectionReport:
@@ -109,48 +110,49 @@ def sectional(s: CartanStructure, u, v) -> SectionReport:
     on the scale of the inputs; the other fields are scaled back exactly and
     may underflow. Raises Overflow when one leaves the floating-point range,
     and DegenerateSection when the squared area is at or below
-    DEGENERATE_AREA_RTOL * ||u||^2 ||v||^2 (nearly dependent inputs).
+    DEGENERATE_AREA_RTOL * ||u||^2 ||v||^2 (nearly dependent inputs), for
+    the first row of a stack that fails either way.
     """
-    fields, degenerate, (area_sq, floor, eu, ev) = _section(
-        s, s.check_member(u), s.check_member(v))
-    if degenerate:
+    fields, degenerate, ok, why = _section(s, *s.check_stacks(u, v))
+    failed = degenerate | ~ok
+    if failed.any():
+        i = int(np.argmax(failed))
+        row = f"row {i}: " if failed.ndim else ""
+        if not np.ravel(ok)[i]:
+            raise Overflow(row + _NOT_FINITE)
+        area_sq, floor, eu, ev = (np.ravel(x)[i] for x in why)
         raise DegenerateSection(
-            f"squared area {area_sq:.3g} is below {DEGENERATE_AREA_RTOL:g} * "
-            f"||u||^2 ||v||^2 = {floor:.3g} (u scaled by 2^{-eu}, v by 2^{-ev})")
-    return SectionReport(*map(float, fields))
+            f"{row}squared area {area_sq:.3g} is below {DEGENERATE_AREA_RTOL:g} "
+            f"* ||u||^2 ||v||^2 = {floor:.3g} (u scaled by 2^{-eu}, v by 2^{-ev})")
+    return SectionReport(*map(_per_row, fields))
 
 
 def sections(s: CartanStructure, u, v) -> tuple[SectionReport, np.ndarray]:
-    """sectional row by row on two (m, n, n) stacks of matrices.
+    """sectional row by row, with a mask of the degenerate rows in place
+    of DegenerateSection: a SectionReport of arrays and the mask.
 
-    Returns a SectionReport whose fields are length-m arrays, and a boolean
-    mask of the degenerate rows. Both run one evaluator, so where
-    sectional(s, u[i], v[i]) returns, row i holds its six values, and where
-    it raises DegenerateSection, row i is masked. On every row, masked or
-    not, quartic, area_sq and the three terms are exact: quartic_terms and
-    the Gram entries of u[i] and v[i] at unit scale, scaled back (so quartic
-    is bit-equal to quartic(s, u[i], v[i]) where no intermediate leaves the
-    normal range, and may be inf on a masked row, which is not checked for
-    overflow). Only sectional means nothing on a masked row. Raises Overflow
-    for a row on which sectional does, so for any non-finite row, and
-    DimensionMismatch unless u and v are stacks of one shape over s.
+    Where sectional(s, u[i], v[i]) returns, row i holds its six values;
+    where it raises DegenerateSection, row i is masked, and only its
+    sectional value means nothing: quartic, area_sq and the three terms
+    are exact at unit scale and scaled back (so quartic is bit-equal to
+    quartic(s, u[i], v[i]) where no intermediate leaves the normal range,
+    and may be inf on a masked row, which is not checked for overflow).
+    Raises Overflow for a row on which sectional does.
     """
-    u, v = s.check_stacks(u, v)
-    if u.ndim != 3:
-        raise DimensionMismatch(f"sections takes (m, n, n) stacks, got {u.shape}")
-    fields, degenerate, _ = _section(s, u, v)
+    fields, degenerate, ok, _ = _section(s, *s.check_stacks(u, v))
+    if not ok.all():
+        raise Overflow((f"row {np.argmin(ok)}: " if ok.ndim else "") + _NOT_FINITE)
     return SectionReport(*fields), degenerate
 
 
 def _section(s: CartanStructure, u: np.ndarray, v: np.ndarray) -> tuple:
-    """sectional slice by slice on (..., n, n) arrays, unchecked.
+    """sectional on (..., n, n) arrays, unchecked.
 
-    Returns the six SectionReport fields, the degenerate mask, and for the
-    DegenerateSection text the squared area at unit scale, the floor it is
-    tested against and the exponents of u and v. Raises Overflow where the
-    values at unit scale are not finite, or where a plane that is not
-    degenerate leaves the range once scaled back; the text names the first
-    such row of a stack.
+    Returns the six SectionReport fields, the degenerate mask, the mask of
+    the rows whose values at unit scale are finite and, unless degenerate,
+    stay finite once scaled back, and for the DegenerateSection text the
+    squared area at unit scale, the floor it is tested against and the
+    exponents of u and v.
     """
     # with entries below 1 in modulus nothing overflows, so only a
     # non-finite input makes a value at unit scale non-finite
@@ -170,10 +172,7 @@ def _section(s: CartanStructure, u: np.ndarray, v: np.ndarray) -> tuple:
     # the rest
     ok = np.isfinite(unit).all(axis=0)
     ok &= degenerate | np.isfinite(scaled).all(axis=0)
-    if not ok.all():
-        where = f"row {np.argmin(ok)}: " if ok.ndim else ""
-        raise Overflow(where + _NOT_FINITE)
-    return fields, degenerate, (area_sq, floor, eu, ev)
+    return fields, degenerate, ok, (area_sq, floor, eu, ev)
 
 
 def _unit_scale(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,10 +191,9 @@ _TAGS = np.array(["p_p", "p_k", "k_p", "k_k", "g_p", "g_k"])
 
 
 def quartic_special(s: CartanStructure, u, v):
-    """Special-case value of the quartic form, dispatched on purity, row by
-    row on two (..., n, n) stacks of one shape: an array of values and one
-    of tags (a float and a str for one pair), each row bit-equal to its
-    own call.
+    """Special-case value of the quartic form and its tag, dispatched on
+    purity: an array of values and one of tags (a float and a str for one
+    pair).
 
     v must be purely p or purely k (NotPureType otherwise, naming the first
     such row of a stack). When u is also pure the four pure cases fire
@@ -227,8 +225,7 @@ def quartic_special(s: CartanStructure, u, v):
 
 
 def quartic_commuting(s: CartanStructure, u, v):
-    """Quartic form for a commuting pair: -4 ||[u1, v1]||^2, row by row on
-    two (..., n, n) stacks of one shape (a float for one pair).
+    """Quartic form for a commuting pair: -4 ||[u1, v1]||^2.
 
     Raises NotCommuting, naming the first such row of a stack, when
     ||[u, v]|| > COMMUTING_RTOL * (||u|| ||v|| + 1). The value agrees with
@@ -245,7 +242,7 @@ def quartic_commuting(s: CartanStructure, u, v):
                            f"{allowed.flat[i]:.3g}; pair does not commute")
     b11 = bracket(theta_part(s, u, "p"), theta_part(s, v, "p"))
     q = 0.0 - 4.0 * s.b_theta_stack(b11, b11)
-    return float(q) if q.ndim == 0 else q
+    return _per_row(q)
 
 
 def bracket_norm_identity_gap(s: CartanStructure, u, v):
@@ -253,8 +250,7 @@ def bracket_norm_identity_gap(s: CartanStructure, u, v):
 
         ||[u,v]||^2 = ||[u,v1]||^2 + ||[u,v2]||^2 - 2 <[v1,v2], [u1,u2]>
 
-    (a diagnostic; the gap should vanish to rounding on any inputs). Row by
-    row on two (..., n, n) stacks of one shape, as quartic_commuting."""
+    (a diagnostic; the gap should vanish to rounding on any inputs)."""
     u, v = s.check_stacks(u, v)
     u1, v1 = theta_part(s, u, "p"), theta_part(s, v, "p")
     u2, v2 = u - u1, v - v1
@@ -262,4 +258,4 @@ def bracket_norm_identity_gap(s: CartanStructure, u, v):
     b = s.b_theta_stack
     gap = (b(buv, buv) - (b(buv1, buv1) + b(buv2, buv2)
                           - 2.0 * b(bracket(v1, v2), bracket(u1, u2))))
-    return float(gap) if gap.ndim == 0 else gap
+    return _per_row(gap)

@@ -11,21 +11,20 @@ exp(-t s) a exp(t s) + s with a = -theta u and s = u - a. On gl(n, R) this
 is exp(t u^T) exp(t (u - u^T)). geodesic_residual measures how well the
 curve satisfies the geodesic equation.
 
-geodesic_point, geodesic_body_velocity and geodesic_residual take a
-tangent u that is one matrix or a (..., n, n) stack of them, and t as a
+Every function but totally_geodesic_check, which reports one curve,
+takes a tangent u that is one matrix or a (..., n, n) stack of them.
+geodesic_point, geodesic_body_velocity and geodesic_residual take t as a
 float or as a 1-D array of T times, which adds a time axis after the
-tangent's: (..., T, n, n) matrices, (..., T) residuals. Each call takes
-all its exponentials from one stack (and totally_geodesic_check one per
-chunk of its grid), with the factors of each time next to each other in
-the order a sweep in t meets them, and hands it to matrix_exp in chunks
-of at most _EXP_CHUNK matrices: every row and time is bit-equal to the
-one-tangent call at its own t, and an Overflow names the first
-exponential of that sweep that overflows, for a stack of tangents with
-its row and t. A value that is not finite although its exponentials are
-raises Overflow too, naming its t, and for a stack its row as "row i: "
-(the flat index of the tangent).
-geodesic_trace and totally_geodesic_check report one curve and take one
-tangent.
+tangent's: (..., T, n, n) matrices, (..., T) residuals; geodesic_trace
+takes a grid of T times. Each call takes all its exponentials from one
+stack (and totally_geodesic_check one per chunk of its grid), with the
+factors of each time next to each other in the order a sweep in t meets
+them, in chunks of at most _EXP_CHUNK matrices: every row and time is
+bit-equal to the one-tangent call at its own t, and an Overflow names
+the first exponential of that sweep that overflows, for a stack of
+tangents with its row and t. A value that is not finite although its
+exponentials are raises Overflow too, naming its t, and for a stack its
+row as "row i: " (the flat index of the tangent).
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from . import curvature
-from .algebra import _norms, matrix_exp
-from .cartan import CartanStructure, gl_real
+from .algebra import _exp, _norms
+from .cartan import CartanStructure, _per_row, gl_real
 from .curvature import nabla
 from .errors import DimensionMismatch, Overflow, TangentNotInAlgebra, UnknownGroup
 
@@ -48,7 +47,7 @@ DEFECT_RTOL = 1e-9
 DEFAULT_STEPS = 64
 # central-difference step of the geodesic residual
 FD_STEP = 1e-5
-# most matrices per matrix_exp call
+# most matrices exponentiated at once
 _EXP_CHUNK = 1024
 
 
@@ -56,9 +55,8 @@ Times = float | np.ndarray
 
 
 def geodesic_point(s: CartanStructure, u, t: Times) -> np.ndarray:
-    """gamma(t) = exp(-t theta u) exp(t (u + theta u)) for a tangent or a
-    (..., n, n) stack of them; (..., T, n, n) for a 1-D array of T times.
-    Raises Overflow where gamma is not finite."""
+    """gamma(t) = exp(-t theta u) exp(t (u + theta u)). Raises Overflow
+    where gamma is not finite."""
     times = np.asarray(t, dtype=float)
     gamma = _point(s, u, times)
     _raise_first(np.isfinite(gamma).all(axis=(-2, -1)), times, "geodesic point")
@@ -76,9 +74,8 @@ def _point(s: CartanStructure, u, t: Times) -> np.ndarray:
 
 def geodesic_body_velocity(s: CartanStructure, u, t: Times) -> np.ndarray:
     """omega(t) = gamma(t)^-1 gamma'(t) = exp(-t s2) a exp(t s2) + s2
-    with a = -theta u and s2 = u + theta u, for a tangent or a (..., n, n)
-    stack of them; (..., T, n, n) for a 1-D array of T times. Raises
-    Overflow where omega is not finite."""
+    with a = -theta u and s2 = u + theta u. Raises Overflow where omega is
+    not finite."""
     times = np.asarray(t, dtype=float)
     t, a, s2 = _factors(s, u, times)
     e_plus, e_minus = _exps(times, t * s2, -t * s2)
@@ -94,7 +91,7 @@ def _factors(s: CartanStructure, u, t: Times) -> tuple:
     s2 = u - a = u + theta u for a tangent or a (..., n, n) stack: t as a
     float, or a 1-D array of T times as a (T, 1, 1) column that scales one
     matrix per time, and then a and s2 get a time axis, (..., 1, n, n)."""
-    u, t = s.check_member(u, stack=True), np.asarray(t, dtype=float)
+    u, t = s.check_member(u), np.asarray(t, dtype=float)
     if t.ndim > 1:
         raise DimensionMismatch(
             f"t must be a float or a 1-D array, got shape {t.shape}")
@@ -121,9 +118,9 @@ def _exps(times: np.ndarray, *factors: np.ndarray) -> list[np.ndarray]:
 
     The factors of each time sit next to each other in the stack, in the
     order given, so its C order is the order in which a sweep in t meets
-    them, and the Overflow of matrix_exp names the first failure of that
-    sweep: for one tangent in its own text, for a stack of tangents as
-    "row i: ... at t = ...". The stack goes to matrix_exp in C order in
+    them, and the Overflow names the first failure of that sweep: for one
+    tangent in the text of matrix_exp, for a stack of tangents as
+    "row i: ... at t = ...". The stack is exponentiated in C order in
     chunks of at most _EXP_CHUNK matrices, which bounds the memory of its
     intermediates for a stack of tangents; a slice is bit-equal in any
     chunk, and an earlier chunk holds no failure.
@@ -132,14 +129,12 @@ def _exps(times: np.ndarray, *factors: np.ndarray) -> list[np.ndarray]:
     flat = x.reshape(-1, *x.shape[-2:])
     e = np.empty_like(flat)
     for start in range(0, len(flat), _EXP_CHUNK):
-        try:
-            e[start:start + _EXP_CHUNK] = matrix_exp(flat[start:start + _EXP_CHUNK])
-        except Overflow as exc:
-            # matrix_exp names the slice of the chunk as "slice j: "
-            j, text = str(exc).removeprefix("slice ").split(": ", 1)
-            row, k = divmod((start + int(j)) // len(factors), times.size)
+        e[start:start + _EXP_CHUNK], overflow = _exp(flat[start:start + _EXP_CHUNK])
+        if overflow:
+            j, text = overflow
+            row, k = divmod((start + j) // len(factors), times.size)
             raise Overflow(text if x.ndim - 3 == times.ndim else
-                           f"row {row}: {text} at t = {times.ravel()[k]:g}") from None
+                           f"row {row}: {text} at t = {times.ravel()[k]:g}")
     return list(np.moveaxis(e.reshape(x.shape), -3, 0))
 
 
@@ -150,10 +145,7 @@ experimental_geodesic_body_velocity = geodesic_body_velocity
 
 
 def geodesic_residual(s: CartanStructure, u, t: Times) -> float | np.ndarray:
-    """Geodesic-equation defect ||omega'(t) + nabla(omega(t), omega(t))||,
-    a float for one tangent and one time, else an array of shape (...),
-    (T,) or (..., T) for a (..., n, n) stack of tangents and a 1-D array
-    of T times.
+    """Geodesic-equation defect ||omega'(t) + nabla(omega(t), omega(t))||.
 
     omega' is a central finite difference with step FD_STEP. For a true
     geodesic the residual is at the differencing noise floor (<= 1e-6 for
@@ -183,7 +175,7 @@ def _sweep(s: CartanStructure, u, t: Times, with_point: bool) -> tuple:
     _raise_first(np.isfinite(residual), times, "geodesic residual")
     if with_point:
         _raise_first(np.isfinite(gamma).all(axis=(-2, -1)), times, "geodesic point")
-    return gamma, w, residual if residual.ndim else float(residual)
+    return gamma, w, _per_row(residual)
 
 
 def _check_grid(t_max: float, steps: int) -> None:
@@ -195,8 +187,9 @@ def _check_grid(t_max: float, steps: int) -> None:
 
 @dataclass(frozen=True)
 class GeodesicSample:
-    """A geodesic trace on its grid of T times: t and residual of shape
-    (T,), gamma and omega of shape (T, n, n)."""
+    """A geodesic trace on its grid of T times: t of shape (T,), and for a
+    tangent of shape (..., n, n) residual of shape (..., T), gamma and
+    omega of shape (..., T, n, n)."""
 
     t: np.ndarray
     gamma: np.ndarray
@@ -206,13 +199,13 @@ class GeodesicSample:
 
 def geodesic_trace(s: CartanStructure, u, t_max: float = 2.0,
                    steps: int = DEFAULT_STEPS) -> GeodesicSample:
-    """Sample the geodesic from one tangent u on a uniform grid of `steps`
-    points over [0, t_max] (ValueError for steps < 2 or a non-finite t_max,
-    DimensionMismatch for a stack of tangents). Overflow as for
-    geodesic_residual, or else where gamma is not finite."""
+    """Sample the geodesic from a tangent u, or from each of a stack, on a
+    uniform grid of `steps` points over [0, t_max] (ValueError for
+    steps < 2 or a non-finite t_max). Overflow as for geodesic_residual,
+    or else where gamma is not finite."""
     _check_grid(t_max, steps)
     ts = np.linspace(0.0, t_max, steps)
-    gamma, omega, residual = _sweep(s, s.check_member(u), ts, with_point=True)
+    gamma, omega, residual = _sweep(s, u, ts, with_point=True)
     return GeodesicSample(t=ts, gamma=gamma, omega=omega, residual=residual)
 
 
@@ -315,6 +308,9 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
     _check_grid(t_max, steps)
     s = gl_real(spec.n)
     u = s.check_member(u)
+    if u.ndim != 2:
+        raise DimensionMismatch(
+            f"totally_geodesic_check takes one tangent, got shape {u.shape}")
     # norms and defects of a huge tangent or gamma overflow to inf quietly,
     # as the stacks do: the sweep reports them as an Overflow
     with np.errstate(over="ignore", invalid="ignore"):

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import COMPLEX, REAL, _norms, bracket, random_matrix
-from .cartan import CartanStructure, standard_basis
+from .cartan import CartanStructure, _per_row, standard_basis
 from .errors import DimensionMismatch, IncompleteBasis
 
 
@@ -102,10 +102,11 @@ def nabla_from_metric(s: CartanStructure, u, v,
     """Connection solved from the metric identity over an orthonormal basis
     (definition route; the standard cells by default)."""
     frame = _frame_for(s, basis)
-    u, v = s.check_member(u), s.check_member(v)
+    u, v = s.check_stacks(u, v)
     x, y = _coords(frame.F, u), _coords(frame.F, v)
     mx, my = _ad(frame.C, x), _ad(frame.C, y)
-    return np.tensordot(_nabla(x, y, mx, my)[0], frame.B, 1)
+    # one vector-matrix product per row, as in _coords
+    return (_nabla(x, y, mx, my) @ frame.B.reshape(len(frame.B), -1)).reshape(u.shape)
 
 
 # each (rows, d, d) temporary of quartic_from_definition stays under this size
@@ -115,9 +116,7 @@ _BLOCK_BYTES = 256 * 1024
 def quartic_from_definition(s: CartanStructure, u, v,
                             basis: Sequence[np.ndarray] | None = None):
     """<R(u,v)v, u> = <nabla_u nabla_v v - nabla_v nabla_u v - nabla_[u,v] v, u>
-    with every nabla taken from the metric identity. Row by row on two
-    (..., n, n) stacks of one shape: one value per row (a float for one
-    pair), each bit-equal to its own call."""
+    with every nabla taken from the metric identity."""
     frame = _frame_for(s, basis)
     u, v = s.check_stacks(u, v)
     C, d = frame.C, len(frame.C)
@@ -134,7 +133,7 @@ def quartic_from_definition(s: CartanStructure, u, v,
              - _nabla(yb, nabla_uv, my, _ad(C, nabla_uv))
              - _nabla(bracket_uv, yb, _ad(C, bracket_uv), my))
         q[i:i + step] = (r @ xb.swapaxes(-1, -2))[:, 0, 0]
-    return float(q[0]) if u.ndim == 2 else q.reshape(u.shape[:-2])
+    return _per_row(q.reshape(u.shape[:-2]))
 
 
 def riemann_from_metric(s: CartanStructure,

@@ -15,13 +15,12 @@ gl:real:3 and gl:complex:2) always run on their fixed structures; the
 generic suites run on the structure passed in (default gl:real:3, plus a
 multi-size sweep for the oracle and Riemann suites when no structure is
 forced). Sampled suites draw stacks of at most 1024 rows
-(curvature._CHUNK_ROWS) in pair-by-pair order, take closed-form quartics
-from sections and pass the same stacks to each reference, quartic_special
-included; the commuting suites draw each stack of pairs with one
-commuting_pair call over a range of seeds. The geodesic suites pass all
-their tangents and times to each geodesic function as one stack; the
-subgroup sweeps take one tangent per call, as each totally_geodesic_check
-reports one curve.
+(curvature._CHUNK_ROWS) in pair-by-pair order and pass the same stacks to
+quartic and to each reference, quartic_special included; the commuting
+suites draw each stack of pairs with one commuting_pair call over a range
+of seeds. The geodesic suites pass all their tangents and times to each
+geodesic function as one stack; the subgroup sweeps take one tangent per
+call, as each totally_geodesic_check reports one curve.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .algebra import _norms, bracket, random_matrix
 from .cartan import (CartanStructure, gl_complex, gl_real, standard_basis,
                      theta_part, validate)
 from .curvature import (bracket_norm_identity_gap, quartic, quartic_commuting,
-                        quartic_special, sections)
+                        quartic_special)
 from .geodesics import (FD_STEP, geodesic_body_velocity, geodesic_point,
                         geodesic_residual, subgroup_from_selector,
                         totally_geodesic_check)
@@ -275,8 +274,7 @@ def _oracle_suite(plan: tuple[CartanStructure, ...], rng: np.random.Generator,
     detail = {}
     for s in plan:
         local = max(
-            rel_gap(sections(s, u, v)[0].quartic,
-                    quartic_from_definition(s, u, v)).max()
+            rel_gap(quartic(s, u, v), quartic_from_definition(s, u, v)).max()
             for u, v in _draws(s, rng, trials, "gg"))
         detail[s.name] = {"sections": trials, "max_rel_gap": float(local)}
     worst = max(d["max_rel_gap"] for d in detail.values())
@@ -286,12 +284,11 @@ def _oracle_suite(plan: tuple[CartanStructure, ...], rng: np.random.Generator,
 def _sign_suites(s: CartanStructure, rng: np.random.Generator,
                  trials: int) -> list[SuiteResult]:
     chunks = [
-        [sections(s, p1, p2)[0].quartic.max(),        # must stay <= 0
-         (-sections(s, k1, k2)[0].quartic).max(),     # must stay >= 0
-         (-sections(s, p1, k2)[0].quartic).max(),
-         (-sections(s, g1, k1)[0].quartic).max(),
-         rel_gap(sections(s, g2, p2)[0].quartic,
-                 quartic_special(s, g2, p2)[0]).max()]
+        [quartic(s, p1, p2).max(),     # must stay <= 0
+         (-quartic(s, k1, k2)).max(),  # must stay >= 0
+         (-quartic(s, p1, k2)).max(),
+         (-quartic(s, g1, k1)).max(),
+         rel_gap(quartic(s, g2, p2), quartic_special(s, g2, p2)[0]).max()]
         for p1, p2, k1, k2, g1, g2 in _draws(s, rng, trials, "ppkkgg")]
     names = ("sign_pp", "sign_kk", "sign_pk", "sign_gk", "match_gp")
     return [_suite(name, worst, SIGN_BOUND if name != "match_gp" else
@@ -313,8 +310,7 @@ def _commuting_suite(s: CartanStructure, seed: int, trials: int) -> SuiteResult:
     # a 1x1 algebra has no interesting commuting pairs; use n = 2, same field
     target = s if s.n >= 2 else replace(s, n=2)
     worst = max(
-        rel_gap(sections(target, u, v)[0].quartic,
-                quartic_commuting(target, u, v)).max()
+        rel_gap(quartic(target, u, v), quartic_commuting(target, u, v)).max()
         for u, v in _commuting_pairs(seed, trials, target.n, field=target.field))
     return _suite("commuting_theorem", worst, SIGN_BOUND,
                   detail={"pairs": trials, "n": target.n})
@@ -322,7 +318,7 @@ def _commuting_suite(s: CartanStructure, seed: int, trials: int) -> SuiteResult:
 
 def _flat_2x2_suite(seed: int, trials: int) -> SuiteResult:
     s = gl_real(2)
-    worst = max(np.abs(sections(s, u, v)[0].quartic).max()
+    worst = max(np.abs(quartic(s, u, v)).max()
                 for u, v in _commuting_pairs(seed + 10_000, trials, 2))
     return _suite("commuting_2x2_flat", worst, SIGN_BOUND,
                   detail={"pairs": trials})
@@ -336,7 +332,7 @@ def _symmetric_iff_suite(rng: np.random.Generator, seed: int) -> SuiteResult:
                                        IFF_COMMUTING_PAIRS, 3, symmetric=True)):
         bracket_zero = np.linalg.norm(bracket(u, v), axis=(-2, -1)) <= 1e-10
         scale = s.b_theta_stack(u, u) * s.b_theta_stack(v, v) + 1.0
-        quartic_zero = np.abs(sections(s, u, v)[0].quartic) <= 1e-12 * scale
+        quartic_zero = np.abs(quartic(s, u, v)) <= 1e-12 * scale
         violations += int((bracket_zero != quartic_zero).sum())
     return _suite("symmetric_iff", float(violations), 0.0, "count",
                   detail={"random_pairs": IFF_RANDOM_PAIRS,

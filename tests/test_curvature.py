@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecurv import (COMPLEX, REAL, CartanStructure, DegenerateSection,
-                     DimensionMismatch, MatrixElement, NotCommuting,
-                     NotPureType, Overflow, SectionReport, bracket,
-                     bracket_norm_identity_gap, gl_complex, gl_real, nabla,
+                     DimensionMismatch, LieCurvError, MatrixElement,
+                     NotCommuting, NotPureType, Overflow, SectionReport,
+                     bracket, bracket_norm_identity_gap, geodesic_trace,
+                     gl_complex, gl_real, nabla, nabla_from_metric,
                      pure_class, quartic, quartic_commuting, quartic_special,
                      quartic_terms, random_matrix, random_part, sectional,
-                     sections, theta_split)
+                     sections, theta_part, theta_split)
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -290,16 +292,83 @@ def test_sectional_keeps_its_value_at_small_scales(s, seed, a, b):
     assert abs(rep.sectional - base.sectional) <= 1e-12 * size
 
 
-def test_forms_of_one_plane_reject_a_stack():
-    # a stack would need one value per slice; these return one value
-    s = gl_real(2)
-    stack = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
-    for fn in (s.b_theta, lambda u, v: quartic(s, u, v), lambda u, v: sectional(s, u, v),
-               lambda u, v: pure_class(s, u)):
-        with pytest.raises(DimensionMismatch):
-            fn(stack, stack)
-        with pytest.raises(DimensionMismatch):
-            fn(stack[:1], stack[:1])
+def _section_leaves(s, u, v):
+    report, degenerate = sections(s, u, v)
+    return (*_fields(report), degenerate)
+
+
+def _fields(obj) -> tuple:
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+def _trace_leaves(s, u, v):
+    trace = geodesic_trace(s, u, t_max=1.0, steps=3)
+    assert trace.t.tolist() == [0.0, 0.5, 1.0]
+    return trace.gamma, trace.omega, trace.residual
+
+
+# the checked functions that take one matrix or pair, or stacks of them,
+# each as a call that returns its results as a tuple of leaves
+STACKED = {
+    "b_theta": lambda s, u, v: (s.b_theta(u, v),),
+    "quartic_terms": quartic_terms,
+    "quartic": lambda s, u, v: (quartic(s, u, v),),
+    "sectional": lambda s, u, v: _fields(sectional(s, u, v)),
+    "sections": _section_leaves,
+    "pure_class": lambda s, u, v: (pure_class(s, u),),
+    "theta_split": lambda s, u, v: _fields(theta_split(s, u)),
+    "nabla_from_metric": lambda s, u, v: (nabla_from_metric(s, u, v),),
+    "geodesic_trace": _trace_leaves,
+}
+
+# a row: the theta-part of u ("0" for the zero matrix, which spans no
+# plane) and of v ("2u" for 2u, which spans none either)
+ROW_KINDS = st.tuples(st.sampled_from("pkg0"),
+                      st.sampled_from(["p", "k", "g", "2u"]))
+
+
+@settings(database=None, derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([REAL, COMPLEX]),
+       st.integers(0, 2**32 - 1), st.lists(ROW_KINDS, max_size=6),
+       st.booleans())
+def test_checked_functions_take_stacks_row_by_row(n, field, seed, kinds,
+                                                  two_axes):
+    # every row of a stack is bit-equal to its one-pair call, or the stack
+    # raises the error of the first row that fails, prefixed "row i: "; a
+    # stack may have no rows, and it has two batch axes when two_axes holds
+    # for an even count
+    s = CartanStructure(n, field)
+    x = random_matrix(np.random.default_rng(seed), n, field, (len(kinds), 2))
+    u, v = np.zeros_like(x[:, 0]), np.zeros_like(x[:, 1])
+    for i, (a, b) in enumerate(kinds):
+        if a != "0":
+            u[i] = theta_part(s, x[i, 0], a)
+        v[i] = 2.0 * u[i] if b == "2u" else theta_part(s, x[i, 1], b)
+    shape = ((2, len(kinds) // 2) if two_axes and len(kinds) % 2 == 0
+             else (len(kinds),))
+    us, vs = u.reshape(*shape, n, n), v.reshape(*shape, n, n)
+    for name, call in STACKED.items():
+        rows = []
+        for i in range(len(kinds)):
+            try:
+                rows.append(call(s, u[i], v[i]))
+            except LieCurvError as exc:
+                with pytest.raises(type(exc), match="^" + re.escape(
+                        f"row {i}: {exc}") + "$"):
+                    call(s, us, vs)
+                break
+        else:
+            leaves = call(s, us, vs)
+            for j, leaf in enumerate(leaves):
+                assert leaf.shape[:len(shape)] == shape, name
+                flat = leaf.reshape(len(kinds), *leaf.shape[len(shape):])
+                for i, row in enumerate(rows):
+                    # one pair gives a float or a str, not a numpy scalar
+                    assert name == "sections" or not isinstance(
+                        row[j], np.generic), name
+                    want = np.asarray(row[j])
+                    assert flat[i].dtype == want.dtype, name
+                    assert flat[i].tobytes() == want.tobytes(), (name, i, j)
 
 
 SECTION_FIELDS = [f.name for f in dataclasses.fields(SectionReport)]
@@ -386,15 +455,12 @@ def test_sections_takes_two_stacks_of_one_shape():
     stack = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
     report, degenerate = sections(s, stack, stack[::-1])
     assert report.quartic.shape == degenerate.shape == (2,)
-    for u, v in ((stack, stack[:1]), (stack[0], stack[1]),
-                 (stack[None], stack[None]), (stack, stack.astype(complex))):
+    report, degenerate = sections(s, stack[None], stack[None, ::-1])
+    assert report.quartic.shape == degenerate.shape == (1, 2)
+    for u, v in ((stack, stack[:1]), (stack[0], stack[:1]),
+                 (stack, stack.astype(complex))):
         with pytest.raises(DimensionMismatch):
             sections(s, u, v)
-    # the forms of one plane still refuse the stack sections takes
-    for fn in (s.b_theta, lambda u, v: quartic(s, u, v),
-               lambda u, v: sectional(s, u, v)):
-        with pytest.raises(DimensionMismatch):
-            fn(stack, stack[::-1])
 
 
 def test_a_zero_vector_spans_no_plane_and_no_negative_zero():

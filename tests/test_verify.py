@@ -248,25 +248,27 @@ def test_sampled_suites_match_the_pair_by_pair_loop(monkeypatch, structure,
     assert stacked == _certificate(**kwargs)
 
 
-def test_sampled_suites_pass_sections_at_most_the_chunk_bound(monkeypatch):
+def test_sampled_suites_pass_quartic_at_most_the_chunk_bound(monkeypatch):
     monkeypatch.setattr(curvature, "_CHUNK_ROWS", 7)
-    real_timed, real_sections = verify._timed, verify.sections
+    real_timed, real_quartic = verify._timed, verify.quartic
     suites, calls = [], []
 
     def timed(make, *args):
         suites.append(make.__name__)
         return real_timed(make, *args)
 
-    def recording_sections(s, u, v):
-        calls.append((suites[-1], len(u)))
-        return real_sections(s, u, v)
+    def recording_quartic(s, u, v):
+        calls.append((suites[-1], np.shape(u)[:-2]))
+        return real_quartic(s, u, v)
 
     monkeypatch.setattr(verify, "_timed", timed)
-    monkeypatch.setattr(verify, "sections", recording_sections)
+    monkeypatch.setattr(verify, "quartic", recording_quartic)
     run_verify(trials=20)
-    assert max(n for _, n in calls) == 7
+    # the worked examples take one pair each, the sampled suites stacks
+    assert calls[:2] == [("_example_2x2_suite", ()), ("_example_3x3_suite", ())]
+    assert max(shape[0] for _, shape in calls[2:]) == 7
     rows = {}
-    for suite, n in calls:
+    for suite, (n,) in calls[2:]:
         rows[suite] = rows.get(suite, 0) + n
     assert rows == {"_oracle_suite": len(DEFAULT_PLAN) * 20,
                     "_sign_suites": 5 * 20,
