@@ -15,7 +15,7 @@ from .cartan import (CartanStructure, ThetaSplit, from_selector, gl_complex,
                      theta_part, theta_split, validate)
 from .curvature import (SectionReport, bracket_norm_identity_gap, nabla,
                         quartic, quartic_commuting, quartic_special,
-                        quartic_terms, sectional, sections)
+                        sectional, sections)
 from .errors import (DegenerateSection, DimensionMismatch, IncompleteBasis,
                      LieCurvError, NotCommuting, NotPureType, Overflow,
                      TangentNotInAlgebra, UnknownGroup)
@@ -36,8 +36,7 @@ __all__ = [
     "pure_class", "random_part", "standard_basis", "theta_part", "theta_split",
     "validate",
     "SectionReport", "bracket_norm_identity_gap", "nabla", "quartic",
-    "quartic_commuting", "quartic_special", "quartic_terms", "sectional",
-    "sections",
+    "quartic_commuting", "quartic_special", "sectional", "sections",
     "DegenerateSection", "DimensionMismatch", "IncompleteBasis", "LieCurvError",
     "NotCommuting", "NotPureType", "Overflow", "TangentNotInAlgebra",
     "UnknownGroup",

@@ -82,6 +82,32 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0, 0])
 
 
+def _unit_scale(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u / 2^e, e) matrix by matrix on a (..., n, n) array: e has the
+    batch shape and puts the largest entry modulus of each matrix of
+    u / 2^e in [1/2, 1); e = 0 for a zero matrix, and e >= -1021 so 2^-e
+    stays finite. Non-finite entries stay non-finite."""
+    _, e = np.frexp(np.abs(u).max(axis=(-2, -1)))
+    e = np.maximum(e, -1021)
+    return u * np.ldexp(1.0, -e)[..., None, None], e
+
+
+def _per_row(x: np.ndarray):
+    """The values of a checked function, one per row: a Python float or
+    str for one matrix or pair (a 0-d x), else the array x."""
+    return x if x.ndim else (str if x.dtype.kind == "U" else float)(x)
+
+
+def _raise_first(error: type, bad: np.ndarray, text: str, *values) -> None:
+    """Raise error for the first row where the mask bad holds, if any, with
+    text formatted by that row of each value (an array of the batch shape):
+    after "row i: " (i the flat index) on a stack, alone for a 0-d mask."""
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
+        raise error((f"row {i}: " if bad.ndim else "")
+                    + text.format(*(np.ravel(x)[i] for x in values)))
+
+
 # Pade-13 numerator coefficients (26-k)! 13! / (26! k! (13-k)!), so that
 # p(0) = 1 and exp(0) is exactly I, and the 1-norm up to which degree 13
 # needs no scaling (Higham 2005, "The scaling and squaring method for the
@@ -90,6 +116,9 @@ _PADE13 = tuple(math.factorial(26 - k) * math.factorial(13)
                 / (math.factorial(26) * math.factorial(k) * math.factorial(13 - k))
                 for k in range(14))
 _THETA13 = 5.371920351148152
+
+# matrix_exp's Overflow text, formatted with the norm of the slice
+_EXP_OVERFLOW = "exponential overflowed for a matrix of norm {:.3g}"
 
 
 def matrix_exp(u) -> np.ndarray:
@@ -100,20 +129,26 @@ def matrix_exp(u) -> np.ndarray:
     scaled by its own 2^-s with ||u / 2^s||_1 <= 5.37, so a slice is
     bit-equal to its own call. Raises Overflow if the result leaves the
     representable range, naming the norm of the first slice that does,
-    and for a stack its flat index as "slice i: ".
+    and for a stack its flat index as "row i: ".
     """
     u = np.asarray(u)
-    out, overflow = _exp(u)
-    if overflow:
-        i, text = overflow
-        raise Overflow((f"slice {i}: " if u.ndim > 2 else "") + text)
+    out, finite = _exp(u)
+    if not finite.all():
+        _raise_first(Overflow, ~finite, _EXP_OVERFLOW, _big_norms(u))
     return out
 
 
+def _big_norms(u: np.ndarray) -> np.ndarray:
+    """_norms taken at unit scale and scaled back, so no squared entry
+    overflows: inf or nan only for a matrix or a norm that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, e = _unit_scale(u)
+        return np.ldexp(_norms(x), e)
+
+
 def _exp(u: np.ndarray) -> tuple:
-    """matrix_exp of an array without the raise: the exponentials, and for
-    the first slice that is not finite its flat index and the Overflow
-    text (None if every slice is finite)."""
+    """matrix_exp of an array without the raise: the exponentials and the
+    mask of the slices that are finite, of the batch shape."""
     c = _PADE13
     with np.errstate(over="ignore", invalid="ignore"):
         norm1 = np.abs(u).sum(axis=-2).max(axis=-1)
@@ -133,12 +168,7 @@ def _exp(u: np.ndarray) -> tuple:
         for k in range(int(s.max(initial=0))):
             out = np.where((k < s)[..., None, None], out @ out, out)
         out[bad] = np.nan
-        finite = np.isfinite(out).all(axis=(-2, -1)).ravel()
-        if finite.all():
-            return out, None
-        i = int(np.argmin(finite))
-        norm = np.linalg.norm(u.reshape(-1, *u.shape[-2:])[i])
-    return out, (i, f"exponential overflowed for a matrix of norm {norm:.3g}")
+    return out, np.isfinite(out).all(axis=(-2, -1))
 
 
 def random_matrix(rng: np.random.Generator, n: int, field: str = REAL,

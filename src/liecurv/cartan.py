@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import COMPLEX, REAL, _norms, bracket, field_of, random_matrix
+from .algebra import (COMPLEX, REAL, _norms, _per_row, _raise_first, bracket,
+                      field_of, random_matrix)
 from .errors import DimensionMismatch, NotPureType
 
 # tolerances of pure_class (relative to ||u||) and of the validate axioms;
@@ -85,12 +86,6 @@ class CartanStructure:
         return u, v
 
 
-def _per_row(x: np.ndarray):
-    """The values of a checked function, one per row: a float for one
-    matrix or pair (a 0-d x), else the array x."""
-    return float(x) if x.ndim == 0 else x
-
-
 @dataclass(frozen=True)
 class ThetaSplit:
     """Eigencomponents of a vector under theta: u = p_part + k_part with
@@ -131,7 +126,7 @@ def from_selector(text: str) -> CartanStructure:
     """Parse a structure selector: "gl:real:<n>" or "gl:complex:<n>"."""
     parts = text.strip().lower().split(":")
     if (len(parts) == 3 and parts[0] == "gl" and parts[1] in (REAL, COMPLEX)
-            and parts[2].isdigit()):
+            and parts[2].isdecimal()):
         return CartanStructure(int(parts[2]), parts[1])
     raise ValueError(f"bad structure selector {text!r} (expected gl:real:<n> or gl:complex:<n>)")
 
@@ -160,6 +155,11 @@ def theta_part(s: CartanStructure, u: np.ndarray, part: str) -> np.ndarray:
     return p if part == "p" else u - p
 
 
+# the NotPureType text of pure_class and quartic_special
+_MIXED = ("vector mixes p and k (component norms {:.3g} / {:.3g}, "
+          "allowed {:.3g})")
+
+
 def pure_class(s: CartanStructure, u):
     """Classify u as purely "p" or purely "k", per row of a stack (a str
     for one matrix).
@@ -169,32 +169,19 @@ def pure_class(s: CartanStructure, u):
     genuinely mixed vectors, naming the first such row of a stack.
     """
     classes, norms = _pure_classes(s, s.check_member(u))
-    _require_pure(classes, norms)
-    tags = np.array(["p", "k"])[classes]
-    return str(tags) if tags.ndim == 0 else tags
+    _raise_first(NotPureType, classes == 2, _MIXED, *norms)
+    return _per_row(np.array(["p", "k"])[classes])
 
 
 def _pure_classes(s: CartanStructure, u: np.ndarray) -> tuple:
     """pure_class matrix by matrix on a (..., n, n) stack, unchecked: the
     classes, 0 for p, 1 for k and 2 for mixed, and the norms of the p and
-    k parts and their allowance, for _require_pure."""
+    k parts and their allowance, the values of _MIXED."""
     p = theta_part(s, u, "p")
     np_, nk, nu = _norms(np.array((p, u - p, u)))
     allowed = PURITY_RTOL * nu + 1e-14
     # 0 where u is purely p, else 1 where it is purely k, else 2
     return ~(nk <= allowed) * (2 - (np_ <= allowed)), (np_, nk, allowed)
-
-
-def _require_pure(classes, norms: tuple) -> None:
-    """Raise NotPureType for the first mixed matrix of a _pure_classes
-    result, naming it as "row i: " of a stack."""
-    if np.count_nonzero(classes == 2):
-        i = np.argmax(classes == 2)
-        np_, nk, allowed = (np.ravel(x)[i] for x in norms)
-        raise NotPureType(
-            (f"row {i}: " if np.ndim(classes) else "") +
-            f"vector mixes p and k (component norms {np_:.3g} / {nk:.3g}, "
-            f"allowed {allowed:.3g})")
 
 
 def random_part(s: CartanStructure, rng: np.random.Generator, part: str,

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import bracket
-from .cartan import (CartanStructure, _per_row, _pure_classes, _require_pure,
-                     theta_part)
-from .errors import DegenerateSection, NotCommuting, Overflow
+from .algebra import _per_row, _raise_first, _unit_scale, bracket
+from .cartan import _MIXED, CartanStructure, _pure_classes, theta_part
+from .errors import DegenerateSection, NotCommuting, NotPureType, Overflow
 
 # A 2-plane is rejected as degenerate when its squared area falls below this
 # multiple of ||u||^2 ||v||^2.
@@ -45,6 +44,8 @@ COMMUTING_RTOL = 1e-10
 _CHUNK_ROWS = 1024
 
 _NOT_FINITE = "the quartic or the squared area of the plane is not finite"
+_DEGENERATE = ("squared area {:.3g} is below " f"{DEGENERATE_AREA_RTOL:g}"
+               " * ||u||^2 ||v||^2 = {:.3g} (u scaled by 2^{}, v by 2^{})")
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,10 @@ def nabla(s: CartanStructure, u, v) -> np.ndarray:
     return 0.5 * (bracket(u, v) - bracket(u, s.theta(v)) - bracket(v, s.theta(u)))
 
 
-def quartic_terms(s: CartanStructure, u, v) -> tuple:
-    """The three summands of the general quartic formula, in order
-    (-2||[u1,v1]||^2, 1/4||[u,v]||^2, 2<[u1,v1],[u2,v2]>)."""
-    return tuple(map(_per_row, _terms(s, *s.check_stacks(u, v))))
-
-
 def _terms(s: CartanStructure, u: np.ndarray, v: np.ndarray) -> tuple:
-    """quartic_terms on (..., n, n) arrays, unchecked."""
+    """The three summands of the general quartic formula, in order
+    (-2||[u1,v1]||^2, 1/4||[u,v]||^2, 2<[u1,v1],[u2,v2]>), on (..., n, n)
+    arrays, unchecked."""
     pu, pv = theta_part(s, u, "p"), theta_part(s, v, "p")
     b11 = bracket(pu, pv)
     b22 = bracket(u - pu, v - pv)
@@ -113,17 +110,15 @@ def sectional(s: CartanStructure, u, v) -> SectionReport:
     DEGENERATE_AREA_RTOL * ||u||^2 ||v||^2 (nearly dependent inputs), for
     the first row of a stack that fails either way.
     """
-    fields, degenerate, ok, why = _section(s, *s.check_stacks(u, v))
-    failed = degenerate | ~ok
-    if failed.any():
-        i = int(np.argmax(failed))
-        row = f"row {i}: " if failed.ndim else ""
-        if not np.ravel(ok)[i]:
-            raise Overflow(row + _NOT_FINITE)
-        area_sq, floor, eu, ev = (np.ravel(x)[i] for x in why)
-        raise DegenerateSection(
-            f"{row}squared area {area_sq:.3g} is below {DEGENERATE_AREA_RTOL:g} "
-            f"* ||u||^2 ||v||^2 = {floor:.3g} (u scaled by 2^{-eu}, v by 2^{-ev})")
+    fields, degenerate, overflow, why = _section(s, *s.check_stacks(u, v))
+    failed = degenerate | overflow
+    if np.count_nonzero(failed):
+        # the first row that fails names the error, Overflow if not finite
+        first = np.arange(failed.size).reshape(failed.shape) == np.argmax(failed)
+        _raise_first(Overflow, first & overflow, _NOT_FINITE)
+        area_sq, floor, eu, ev = why
+        _raise_first(DegenerateSection, first, _DEGENERATE, area_sq, floor,
+                     -eu, -ev)
     return SectionReport(*map(_per_row, fields))
 
 
@@ -139,9 +134,8 @@ def sections(s: CartanStructure, u, v) -> tuple[SectionReport, np.ndarray]:
     and may be inf on a masked row, which is not checked for overflow).
     Raises Overflow for a row on which sectional does.
     """
-    fields, degenerate, ok, _ = _section(s, *s.check_stacks(u, v))
-    if not ok.all():
-        raise Overflow((f"row {np.argmin(ok)}: " if ok.ndim else "") + _NOT_FINITE)
+    fields, degenerate, overflow, _ = _section(s, *s.check_stacks(u, v))
+    _raise_first(Overflow, overflow, _NOT_FINITE)
     return SectionReport(*fields), degenerate
 
 
@@ -149,10 +143,10 @@ def _section(s: CartanStructure, u: np.ndarray, v: np.ndarray) -> tuple:
     """sectional on (..., n, n) arrays, unchecked.
 
     Returns the six SectionReport fields, the degenerate mask, the mask of
-    the rows whose values at unit scale are finite and, unless degenerate,
-    stay finite once scaled back, and for the DegenerateSection text the
-    squared area at unit scale, the floor it is tested against and the
-    exponents of u and v.
+    the rows whose values at unit scale are not finite or, unless
+    degenerate, do not stay finite once scaled back, and for the
+    DegenerateSection text the squared area at unit scale, the floor it is
+    tested against and the exponents of u and v.
     """
     # with entries below 1 in modulus nothing overflows, so only a
     # non-finite input makes a value at unit scale non-finite
@@ -172,17 +166,7 @@ def _section(s: CartanStructure, u: np.ndarray, v: np.ndarray) -> tuple:
     # the rest
     ok = np.isfinite(unit).all(axis=0)
     ok &= degenerate | np.isfinite(scaled).all(axis=0)
-    return fields, degenerate, ok, (area_sq, floor, eu, ev)
-
-
-def _unit_scale(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u / 2^e, e) matrix by matrix on a (..., n, n) array: e has the
-    batch shape and puts the largest entry modulus of each matrix of
-    u / 2^e in [1/2, 1); e = 0 for a zero matrix, and e >= -1021 so 2^-e
-    stays finite. Non-finite entries stay non-finite."""
-    _, e = np.frexp(np.abs(u).max(axis=(-2, -1)))
-    e = np.maximum(e, -1021)
-    return u * np.ldexp(1.0, -e)[..., None, None], e
+    return fields, degenerate, ~ok, (area_sq, floor, eu, ev)
 
 
 # quartic_special's tag of a pair by 2 * class of u + class of v, with the
@@ -204,7 +188,7 @@ def quartic_special(s: CartanStructure, u, v):
     u, v = s.check_stacks(u, v)
     # v and u take one purity test, as two rows of one stack
     (cv, cu), norms = _pure_classes(s, np.array((v, u)))
-    _require_pure(cv, [x[0] for x in norms])
+    _raise_first(NotPureType, cv == 2, _MIXED, *(x[0] for x in norms))
 
     def nsq(x: np.ndarray) -> np.ndarray:
         return s.b_theta_stack(x, x)
@@ -220,8 +204,7 @@ def quartic_special(s: CartanStructure, u, v):
         pu = theta_part(s, u, "p")
         value = np.where(g_p, (-1.75 * nsq(bracket(pu, v))
                                + 0.25 * nsq(bracket(u - pu, v))), value)
-    tags = _TAGS[2 * cu + cv]
-    return (float(value), str(tags)) if value.ndim == 0 else (value, tags)
+    return _per_row(value), _per_row(_TAGS[2 * cu + cv])
 
 
 def quartic_commuting(s: CartanStructure, u, v):
@@ -235,11 +218,9 @@ def quartic_commuting(s: CartanStructure, u, v):
     bn, nu, nv = (np.sqrt(np.maximum(s.b_theta_stack(x, x), 0.0))
                   for x in (bracket(u, v), u, v))
     allowed = COMMUTING_RTOL * (nu * nv + 1.0)
-    if (bn > allowed).any():
-        i = np.argmax(bn > allowed)
-        raise NotCommuting((f"row {i}: " if bn.ndim else "") +
-                           f"||[u, v]|| = {bn.flat[i]:.3g} exceeds "
-                           f"{allowed.flat[i]:.3g}; pair does not commute")
+    _raise_first(NotCommuting, bn > allowed,
+                 "||[u, v]|| = {:.3g} exceeds {:.3g}; pair does not commute",
+                 bn, allowed)
     b11 = bracket(theta_part(s, u, "p"), theta_part(s, v, "p"))
     q = 0.0 - 4.0 * s.b_theta_stack(b11, b11)
     return _per_row(q)

@@ -36,8 +36,9 @@ from typing import Callable
 import numpy as np
 
 from . import curvature
-from .algebra import _exp, _norms
-from .cartan import CartanStructure, _per_row, gl_real
+from .algebra import (_EXP_OVERFLOW, _big_norms, _exp, _norms, _per_row,
+                      _raise_first)
+from .cartan import CartanStructure, gl_real
 from .curvature import nabla
 from .errors import DimensionMismatch, Overflow, TangentNotInAlgebra, UnknownGroup
 
@@ -59,7 +60,7 @@ def geodesic_point(s: CartanStructure, u, t: Times) -> np.ndarray:
     where gamma is not finite."""
     times = np.asarray(t, dtype=float)
     gamma = _point(s, u, times)
-    _raise_first(np.isfinite(gamma).all(axis=(-2, -1)), times, "geodesic point")
+    _raise_at_t(np.isfinite(gamma).all(axis=(-2, -1)), times, "geodesic point")
     return gamma
 
 
@@ -81,8 +82,8 @@ def geodesic_body_velocity(s: CartanStructure, u, t: Times) -> np.ndarray:
     e_plus, e_minus = _exps(times, t * s2, -t * s2)
     with np.errstate(over="ignore", invalid="ignore"):
         omega = e_minus @ a @ e_plus + s2
-    _raise_first(np.isfinite(omega).all(axis=(-2, -1)), times,
-                 "geodesic body velocity")
+    _raise_at_t(np.isfinite(omega).all(axis=(-2, -1)), times,
+                "geodesic body velocity")
     return omega
 
 
@@ -102,15 +103,15 @@ def _factors(s: CartanStructure, u, t: Times) -> tuple:
     return float(t), a, s2
 
 
-def _raise_first(finite: np.ndarray, times: np.ndarray, what: str) -> None:
+def _raise_at_t(finite: np.ndarray, times: np.ndarray, what: str) -> None:
     """Overflow naming the first value that is not finite, in C order, of
-    a (..., T) mask over rows and times (a (...) mask for one time): its t,
-    and for a stack of tangents its row as "row i: "."""
-    if finite.all():
-        return
-    row, k = divmod(int(np.argmin(finite)), times.size)
-    where = f"row {row}: " if finite.ndim > times.ndim else ""
-    raise Overflow(f"{where}{what} at t = {times.ravel()[k]:g} is not finite")
+    a (..., T) mask over rows and times (a (...) mask for one time): the
+    first row that holds one, by _raise_first, and that row's first t."""
+    if not finite.all():
+        finite = finite if times.ndim else finite[..., None]
+        _raise_first(Overflow, ~finite.all(axis=-1),
+                     what + " at t = {:g} is not finite",
+                     times.ravel()[np.argmin(finite, axis=-1)])
 
 
 def _exps(times: np.ndarray, *factors: np.ndarray) -> list[np.ndarray]:
@@ -129,10 +130,11 @@ def _exps(times: np.ndarray, *factors: np.ndarray) -> list[np.ndarray]:
     flat = x.reshape(-1, *x.shape[-2:])
     e = np.empty_like(flat)
     for start in range(0, len(flat), _EXP_CHUNK):
-        e[start:start + _EXP_CHUNK], overflow = _exp(flat[start:start + _EXP_CHUNK])
-        if overflow:
-            j, text = overflow
-            row, k = divmod((start + j) // len(factors), times.size)
+        e[start:start + _EXP_CHUNK], finite = _exp(flat[start:start + _EXP_CHUNK])
+        if not finite.all():
+            j = start + int(np.argmin(finite))
+            text = _EXP_OVERFLOW.format(_big_norms(flat[j]))
+            row, k = divmod(j // len(factors), times.size)
             raise Overflow(text if x.ndim - 3 == times.ndim else
                            f"row {row}: {text} at t = {times.ravel()[k]:g}")
     return list(np.moveaxis(e.reshape(x.shape), -3, 0))
@@ -172,9 +174,9 @@ def _sweep(s: CartanStructure, u, t: Times, with_point: bool) -> tuple:
         w_dot = ((e_plus_inv @ a @ e_plus + s2)
                  - (e_minus_inv @ a @ e_minus + s2)) / (2.0 * FD_STEP)
         residual = _norms(w_dot + nabla(s, w, w))
-    _raise_first(np.isfinite(residual), times, "geodesic residual")
+    _raise_at_t(np.isfinite(residual), times, "geodesic residual")
     if with_point:
-        _raise_first(np.isfinite(gamma).all(axis=(-2, -1)), times, "geodesic point")
+        _raise_at_t(np.isfinite(gamma).all(axis=(-2, -1)), times, "geodesic point")
     return gamma, w, _per_row(residual)
 
 
@@ -258,7 +260,7 @@ def subgroup_from_selector(text: str) -> SubgroupSpec:
             f"unknown subgroup name {key!r} (expected so, sl, opq or ut)")
     sizes = arg.split(",")
     if (len(sizes) != (2 if key == "opq" else 1)
-            or not all(x.strip().isdigit() and int(x) >= 1 for x in sizes)):
+            or not all(x.strip().isdecimal() and int(x) >= 1 for x in sizes)):
         raise UnknownGroup(
             f"bad subgroup selector {text!r} (expected so:<n>, sl:<n>, "
             f"opq:<p>,<q> or ut:<n> with sizes >= 1)")

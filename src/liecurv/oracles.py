@@ -25,8 +25,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import COMPLEX, REAL, _norms, bracket, random_matrix
-from .cartan import CartanStructure, _per_row, standard_basis
+from .algebra import COMPLEX, REAL, _norms, _per_row, bracket, random_matrix
+from .cartan import CartanStructure, standard_basis
 from .errors import DimensionMismatch, IncompleteBasis
 
 

@@ -14,9 +14,10 @@ from liecurv import (COMPLEX, REAL, DimensionMismatch, MatrixElement, Overflow,
                      gl_complex, gl_real, matrix_exp, matrix_from_json,
                      matrix_to_json, nabla, nabla_from_metric, pure_class,
                      quartic, quartic_commuting, quartic_from_definition,
-                     quartic_special, quartic_terms, random_matrix, sectional,
+                     quartic_special, random_matrix, sectional,
                      subgroup_from_selector, theta_split,
                      totally_geodesic_check)
+from liecurv.curvature import _terms
 
 norm = np.linalg.norm
 
@@ -138,18 +139,23 @@ def test_matrix_exp_inverse_pairing():
 def test_matrix_exp_overflow():
     with pytest.raises(Overflow, match="of norm 2.83e"):
         matrix_exp(MatrixElement([[2000.0, 0.0], [0.0, 2000.0]]))
-    # the norm that the message names overflows too, without a warning
+    # the message names the norm even where its squared entries overflow,
+    # without a warning; only a matrix that is not finite has norm inf or nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(Overflow, match=r"of norm inf$"):
+        with pytest.raises(Overflow, match=r"of norm 2e\+300$"):
             matrix_exp(1e300 * np.ones((2, 2)))
+        with pytest.raises(Overflow, match=r"of norm inf$"):
+            matrix_exp(np.array([[np.inf, 1.0], [0.0, 1.0]]))
+        with pytest.raises(Overflow, match=r"of norm nan$"):
+            matrix_exp(np.array([[np.inf, np.nan], [0.0, 1.0]]))
 
 
 def test_stacked_matrix_exp_overflow_names_the_first_bad_slice():
-    # slices 0 and 1 are finite, 2 and 3 overflow: the text names slice 2,
+    # slices 0 and 1 are finite, 2 and 3 overflow: the text names row 2,
     # by its flat index in a stack of any leading shape
     stack = np.array([s * np.eye(2) for s in (1.0, 300.0, 800.0, 2000.0)])
-    text = r"^slice 2: exponential overflowed for a matrix of norm 1\.13e\+03$"
+    text = r"^row 2: exponential overflowed for a matrix of norm 1\.13e\+03$"
     with pytest.raises(Overflow, match=text):
         matrix_exp(stack)
     with pytest.raises(Overflow, match=text):
@@ -339,7 +345,7 @@ EDGE_CASES = {
         nabla(S3, m["u"], nabla(S3, m["v"], m["w"]))
         - nabla(S3, m["v"], nabla(S3, m["u"], m["w"]))
         - nabla(S3, bracket(m["u"], m["v"]), m["w"])),
-    "quartic_terms": lambda m: quartic_terms(S3, m["u"], m["w"]),
+    "quartic_terms": lambda m: _terms(S3, *S3.check_stacks(m["u"], m["w"])),
     "quartic": lambda m: quartic(S3, m["u"], m["w"]),
     "sectional": lambda m: sectional(S3, m["u"], m["w"]),
     "quartic_special": lambda m: quartic_special(S3, m["u"], m["p"]),

@@ -232,8 +232,9 @@ def test_from_selector():
     assert s.n == 4 and s.field == REAL and s.real_dim == 16
     c = from_selector("gl:complex:2")
     assert c.n == 2 and c.field == COMPLEX and c.real_dim == 8
-    for text in ("gl:rational:3", "so:3", "gl:real:x", "gl:real"):
-        with pytest.raises(ValueError):
+    # "²" is a digit but not a decimal, so it must meet the selector's text
+    for text in ("gl:rational:3", "so:3", "gl:real:x", "gl:real", "gl:real:²"):
+        with pytest.raises(ValueError, match="^bad structure selector"):
             from_selector(text)
 
 

@@ -11,10 +11,12 @@ from liecurv import (COMPLEX, REAL, CartanStructure, DegenerateSection,
                      DimensionMismatch, LieCurvError, MatrixElement,
                      NotCommuting, NotPureType, Overflow, SectionReport,
                      bracket, bracket_norm_identity_gap, geodesic_trace,
-                     gl_complex, gl_real, nabla, nabla_from_metric,
-                     pure_class, quartic, quartic_commuting, quartic_special,
-                     quartic_terms, random_matrix, random_part, sectional,
-                     sections, theta_part, theta_split)
+                     gl_complex, gl_real, matrix_exp, nabla, nabla_from_metric,
+                     pure_class, quartic, quartic_commuting,
+                     quartic_from_definition, quartic_special, random_matrix,
+                     random_part, sectional, sections, theta_part, theta_split)
+from liecurv.algebra import _per_row
+from liecurv.curvature import _terms
 
 SQ7 = math.sqrt(7.0)
 norm = np.linalg.norm
@@ -308,11 +310,20 @@ def _trace_leaves(s, u, v):
 
 
 # the checked functions that take one matrix or pair, or stacks of them,
-# each as a call that returns its results as a tuple of leaves
+# each as a call that returns its results as a tuple of leaves; the
+# exponentials of 1000 v overflow on some rows
 STACKED = {
     "b_theta": lambda s, u, v: (s.b_theta(u, v),),
-    "quartic_terms": quartic_terms,
+    "_terms": lambda s, u, v: tuple(
+        map(_per_row, _terms(s, *s.check_stacks(u, v)))),
     "quartic": lambda s, u, v: (quartic(s, u, v),),
+    "quartic_special": quartic_special,
+    "quartic_commuting": lambda s, u, v: (quartic_commuting(s, u, v),),
+    "bracket_norm_identity_gap":
+        lambda s, u, v: (bracket_norm_identity_gap(s, u, v),),
+    "quartic_from_definition":
+        lambda s, u, v: (quartic_from_definition(s, u, v),),
+    "matrix_exp": lambda s, u, v: (matrix_exp(1000.0 * v),),
     "sectional": lambda s, u, v: _fields(sectional(s, u, v)),
     "sections": _section_leaves,
     "pure_class": lambda s, u, v: (pure_class(s, u),),
@@ -419,7 +430,7 @@ def test_sections_rows_are_bit_equal_to_sectional(n, field, seed, rows):
             uu, vv, uv = (s.b_theta(a, b) for a, b in
                           ((u0, u0), (v0, v0), (u0, v0)))
             exact = [quartic(s, u0, v0), uu * vv - uv * uv,
-                     *quartic_terms(s, u0, v0)]
+                     *_terms(s, u0, v0)]
             assert ([float(getattr(report, f)[i]).hex() for f in SECTION_FIELDS
                      if f != "sectional"]
                     == [math.ldexp(x, 2 * (k + j)).hex() for x in exact])

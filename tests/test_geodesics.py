@@ -235,9 +235,13 @@ def test_subgroup_from_selector():
     assert subgroup_from_selector("sl:2").name == "SL(2)"
     assert subgroup_from_selector("opq:1,2").name == "O(1,2)"
     assert subgroup_from_selector("ut:3").name == "UT(3)"
-    for text in ("so", "so:x", "opq:1", "spin:3", "sl:2,3", "opq:1,2,3", "ut:"):
-        with pytest.raises(UnknownGroup):
+    # "²" is a digit but not a decimal, so it must meet the selector's text
+    for text in ("so", "so:x", "opq:1", "sl:2,3", "opq:1,2,3", "ut:", "so:²",
+                 "opq:1,²"):
+        with pytest.raises(UnknownGroup, match="^bad subgroup selector"):
             subgroup_from_selector(text)
+    with pytest.raises(UnknownGroup, match="^unknown subgroup name"):
+        subgroup_from_selector("spin:3")
 
 
 def test_totally_geodesic_so3():
