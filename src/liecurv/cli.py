@@ -6,12 +6,17 @@ certificate battery), sample (stratified random sections as CSV), geodesic
 Matrices are passed inline as JSON or as paths to JSON files. Exit codes:
 0 success, 1 verification/numeric failure, 2 usage or parse error,
 3 degenerate section, 4 tangent outside the subgroup algebra.
+
+main(argv) can be called many times in one process: it builds its parser on
+the first call and reuses it, and looks up the handler cmd_<command> by name
+on each call. A process that runs one command sees no change.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -53,6 +58,7 @@ STRATA = {"p_p": ("p", "p"), "k_k": ("k", "k"), "p_k": ("p", "k"),
 MAX_DEGENERATE_DRAWS = 100
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liecurv",
@@ -62,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     section = sub.add_parser("section", help="curvature report for span{u, v}")
     _matrix_args(section, need_v=True)
     _out_arg(section)
-    section.set_defaults(func=cmd_section)
 
     verify = sub.add_parser("verify", help="run the verification battery")
     verify.add_argument("--structure", default=None,
@@ -71,21 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=None,
                         help="replace the bound of every error suite")
     _out_arg(verify)
-    verify.set_defaults(func=cmd_verify)
 
     sample = sub.add_parser("sample", help="stratified random curvature samples")
     sample.add_argument("--structure", default=None,
                         help="gl:real:<n> or gl:complex:<n> (default gl:real:3)")
     _seed_trials_args(sample)
     _out_arg(sample, default_format="csv")
-    sample.set_defaults(func=cmd_sample)
 
     geodesic = sub.add_parser("geodesic", help="trace the geodesic from tangent u")
     _matrix_args(geodesic, need_v=False)
     geodesic.add_argument("--t-max", type=float, default=2.0)
     geodesic.add_argument("--steps", type=int, default=64)
     _out_arg(geodesic, default_format="json")
-    geodesic.set_defaults(func=cmd_geodesic)
 
     subgroup = sub.add_parser("subgroup", help="totally-geodesic subgroup sweep")
     subgroup.add_argument("--group", required=True,
@@ -95,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     subgroup.add_argument("--t-max", type=float, default=2.0)
     subgroup.add_argument("--steps", type=int, default=64)
     _out_arg(subgroup)
-    subgroup.set_defaults(func=cmd_subgroup)
 
     return parser
 
@@ -127,7 +128,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for error, code in EXIT_CODES.items()

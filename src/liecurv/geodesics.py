@@ -304,7 +304,7 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
     first exponential of the sweep that overflows, or else the first t
     where the defect is not finite (so a report holds finite numbers
     only). The report passes when the largest defect over the t-grid stays
-    at or below 1e-9 (1 + ||u|| t_max); for a transpose-invariant subgroup
+    at or below 1e-9 (1 + ||u|| |t_max|); for a transpose-invariant subgroup
     the geodesic should never leave, while the UT control visibly escapes.
     """
     _check_grid(t_max, steps)
@@ -342,7 +342,7 @@ def totally_geodesic_check(spec: SubgroupSpec, u, t_max: float = 2.0,
     # grid comes first, whatever the chunk size
     if not_finite is not None:
         raise Overflow(f"subgroup defect at t = {not_finite:g} is not finite")
-    threshold = DEFECT_RTOL * (1.0 + u_norm * t_max)
+    threshold = DEFECT_RTOL * (1.0 + u_norm * abs(t_max))
     return TotallyGeodesicReport(
         subgroup=spec.name, transpose_invariant=spec.transpose_invariant,
         t_max=t_max, steps=steps, max_defect=max_defect, argmax_t=argmax_t,

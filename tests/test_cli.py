@@ -166,6 +166,39 @@ def test_each_error_type_has_its_exit_code(capsys, monkeypatch, error, code):
         == (code, "", "error: the message\n")
 
 
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    commands = [("section", "--u", "[[1]]"),
+                ("frobnicate",),
+                ("--help",),
+                ("geodesic", "--u", SKEW_3, "--steps", "3", "--format", "csv"),
+                ("geodesic", "--u", SKEW_3, "--steps", "3"),
+                ("sample", "--trials", "2", "--seed", "7"),
+                ("sample", "--trials", "2")]
+    first = {argv: run(capsys, *argv) for argv in commands}
+    # each command gives the same exit code, stdout and stderr again, run
+    # after the others in the reverse order
+    assert {argv: run(capsys, *argv) for argv in reversed(commands)} == first
+    assert [first[argv][0] for argv in commands] == [2, 2, 0, 0, 0, 0, 0]
+    assert "required: --v" in first[commands[0]][2]
+    # the defaults of --format and --seed hold after a call that set them
+    json.loads(first[commands[4]][1])
+    assert first[commands[6]][1] != first[commands[5]][1]
+    assert first[commands[6]][1] == run(capsys, "sample", "--trials", "2",
+                                        "--seed", "42")[1]
+
+
+def test_main_calls_a_handler_patched_after_its_first_call(capsys,
+                                                           monkeypatch):
+    argv = ("geodesic", "--u", "[[0]]", "--steps", "2")
+    assert run(capsys, *argv)[0] == 0
+    steps = []
+    monkeypatch.setattr(cli, "cmd_geodesic",
+                        lambda args: steps.append(args.steps) or 5)
+    assert run(capsys, *argv) == (5, "", "")
+    assert steps == [2]
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "section", "--u", U_2X2, "--v", V_2X2,

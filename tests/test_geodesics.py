@@ -277,6 +277,20 @@ def test_ut3_control_escapes():
     assert report.max_defect >= 1e-3
 
 
+@pytest.mark.parametrize("selector, u, passed", [
+    ("so:3", SKEW_3, True),
+    ("so:2", np.array([[0.0, 1.0], [-1.0, 0.0]]), True),
+    ("ut:3", np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+     False)])
+def test_a_negative_t_max_sweeps_back_to_zero(selector, u, passed):
+    # the pass line grows with |t_max|: a sweep over [-2, 0] is held to the
+    # bound of one over [0, 2]
+    report = totally_geodesic_check(subgroup_from_selector(selector), u,
+                                    t_max=-2.0)
+    assert report.threshold == 1e-9 * (1.0 + np.linalg.norm(u) * 2.0)
+    assert report.passed is passed
+
+
 @pytest.mark.parametrize("chunk", [None, 2])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_a_defect_that_is_not_finite_is_an_overflow(monkeypatch, bad, chunk):
