@@ -84,10 +84,14 @@ def _coords(F: np.ndarray, a: np.ndarray) -> np.ndarray:
             @ F.swapaxes(-1, -2).reshape(len(F), n2).T).real
 
 
-def _ad(C: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M_x with M_x[j, k] = <[x, e_j], e_k>, row by row on (..., 1, d) rows."""
+def _ad(C: np.ndarray, *rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """M_x with M_x[j, k] = <[x, e_j], e_k> for each of the (..., 1, d) rows
+    x, as one matmul: the rows are stacked to (..., k, d), and each leading
+    index takes its own (k, d) @ (d, d*d) product, so a row does not depend
+    on the stack around it."""
+    x = np.concatenate(rows, axis=-2)
     d = x.shape[-1]
-    return (x @ C).reshape(*x.shape[:-2], d, d)
+    return tuple(np.moveaxis((x @ C).reshape(*x.shape[:-1], d, d), -3, 0))
 
 
 def _nabla(x: np.ndarray, y: np.ndarray, mx: np.ndarray,
@@ -104,12 +108,13 @@ def nabla_from_metric(s: CartanStructure, u, v,
     frame = _frame_for(s, basis)
     u, v = s.check_stacks(u, v)
     x, y = _coords(frame.F, u), _coords(frame.F, v)
-    mx, my = _ad(frame.C, x), _ad(frame.C, y)
+    mx, my = _ad(frame.C, x, y)
     # one vector-matrix product per row, as in _coords
     return (_nabla(x, y, mx, my) @ frame.B.reshape(len(frame.B), -1)).reshape(u.shape)
 
 
-# each (rows, d, d) temporary of quartic_from_definition stays under this size
+# the largest temporary of quartic_from_definition, the (rows, 3, d, d)
+# stack of ad matrices, stays under this size
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -122,16 +127,17 @@ def quartic_from_definition(s: CartanStructure, u, v,
     C, d = frame.C, len(frame.C)
     x, y = (_coords(frame.F, w).reshape(-1, 1, d) for w in (u, v))
     q = np.empty(len(x))
-    step = max(1, _BLOCK_BYTES // (8 * d * d))
+    step = max(1, _BLOCK_BYTES // (8 * 3 * d * d))
     for i in range(0, len(x), step):
         xb, yb = x[i:i + step], y[i:i + step]
-        mx, my = _ad(C, xb), _ad(C, yb)
+        mx, my = _ad(C, xb, yb)
         nabla_vv = _nabla(yb, yb, my, my)
         nabla_uv = _nabla(xb, yb, mx, my)
         bracket_uv = yb @ mx
-        r = (_nabla(xb, nabla_vv, mx, _ad(C, nabla_vv))
-             - _nabla(yb, nabla_uv, my, _ad(C, nabla_uv))
-             - _nabla(bracket_uv, yb, _ad(C, bracket_uv), my))
+        m_vv, m_uv, m_bracket = _ad(C, nabla_vv, nabla_uv, bracket_uv)
+        r = (_nabla(xb, nabla_vv, mx, m_vv)
+             - _nabla(yb, nabla_uv, my, m_uv)
+             - _nabla(bracket_uv, yb, m_bracket, my))
         q[i:i + step] = (r @ xb.swapaxes(-1, -2))[:, 0, 0]
     return _per_row(q.reshape(u.shape[:-2]))
 
@@ -151,9 +157,9 @@ def riemann_from_metric(s: CartanStructure,
     G = 0.5 * (C - np.einsum("jki->ijk", C) - np.einsum("ikj->ijk", C))
     R = np.empty((d, d, d, d))
     for i in range(d):  # one slice at a time: no d^4 temporaries
-        R[i] = (np.einsum("jkm,ml->jkl", G, G[i])
-                - np.einsum("km,jml->jkl", G[i], G)
-                - np.einsum("jm,mkl->jkl", C[i], G))
+        R[i] = ((G.reshape(d * d, d) @ G[i]).reshape(d, d, d)
+                - G[i] @ G
+                - (C[i] @ G.reshape(d, d * d)).reshape(d, d, d))
     return R
 
 

@@ -18,9 +18,11 @@ forced). Sampled suites draw stacks of at most 1024 rows
 (curvature._CHUNK_ROWS) in pair-by-pair order and pass the same stacks to
 quartic and to each reference, quartic_special included; the commuting
 suites draw each stack of pairs with one commuting_pair call over a range
-of seeds. The geodesic suites pass all their tangents and times to each
-geodesic function as one stack; the subgroup sweeps take one tangent per
-call, as each totally_geodesic_check reports one curve.
+of seeds. The Riemann suite passes its sections of each structure to
+quartic_from_definition as one stack and contracts them with R_ijkl as one
+batched matmul. The geodesic suites pass all their tangents and times to
+each geodesic function as one stack; the subgroup sweeps take one tangent
+per call, as each totally_geodesic_check reports one curve.
 """
 
 from __future__ import annotations
@@ -405,13 +407,20 @@ def _riemann_suite(plan: tuple[CartanStructure, ...],
         def gap(term) -> float:
             return max(float(np.abs(term(i)).max()) for i in range(d)) / scale
 
-        quartic_gap = 0.0
-        for u, v in random_matrix(rng, s.n, s.field, (RIEMANN_SECTIONS, 2)):
-            x, y = (s.b_theta_stack(w, basis) for w in (u, v))
-            contracted = np.einsum("ijkl,i,j,k,l->", R, x, y, y, x)
-            quartic_gap = max(quartic_gap, abs(
-                contracted - quartic_from_definition(s, u, v))
-                / (scale * (x @ x) * (y @ y)))
+        # the sections as one stack, each row with its own products so that
+        # it keeps the bits it has alone: R_ijkl x_i y_j y_k x_l as
+        # (x y^T) R (y x^T) with R as a (d^2, d^2) matrix, and |x|^2 as a
+        # (1, d) @ (d, 1) dot, which rounds as x @ x does
+        u, v = pair = random_matrix(rng, s.n, s.field,
+                                    (RIEMANN_SECTIONS, 2)).swapaxes(0, 1)
+        x, y = s.b_theta_stack(pair[:, :, None], basis)
+        contracted = ((x[:, :, None] * y[:, None]).reshape(-1, 1, d * d)
+                      @ R.reshape(d * d, d * d)
+                      @ (y[:, :, None] * x[:, None]).reshape(-1, d * d, 1))
+        x_sq, y_sq = (w[:, None] @ w[..., None] for w in (x, y))
+        quartic_gap = float((
+            np.abs(contracted[:, 0, 0] - quartic_from_definition(s, u, v))
+            / (scale * x_sq[:, 0, 0] * y_sq[:, 0, 0])).max())
         local = {
             "antisymmetry_kl": gap(lambda i: R[i] + P["ijlk"][i]),
             "pair_symmetry": gap(lambda i: R[i] - P["klij"][i]),

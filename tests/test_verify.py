@@ -178,7 +178,10 @@ def _riemann_suite(plan, rng):
             u, v = random_part(s, rng, "g"), random_part(s, rng, "g")
             x = np.array([s.b_theta(u, e) for e in basis])
             y = np.array([s.b_theta(v, e) for e in basis])
-            contracted = np.einsum("ijkl,i,j,k,l->", R, x, y, y, x)
+            # R_ijkl x_i y_j y_k x_l as the row product of run_verify
+            contracted = (np.outer(x, y).reshape(1, d * d)
+                          @ R.reshape(d * d, d * d)
+                          @ np.outer(y, x).reshape(d * d, 1))[0, 0]
             quartic_gap = max(quartic_gap, abs(
                 contracted - quartic_from_definition(s, u, v))
                 / (scale * (x @ x) * (y @ y)))
@@ -275,6 +278,27 @@ def test_sampled_suites_pass_quartic_at_most_the_chunk_bound(monkeypatch):
                     "_commuting_suite": 20,
                     "_flat_2x2_suite": 20,
                     "_symmetric_iff_suite": IFF_RANDOM_PAIRS + IFF_COMMUTING_PAIRS}
+
+
+def test_the_riemann_suite_takes_one_oracle_call_per_structure(monkeypatch):
+    real_timed, real_oracle = verify._timed, verify.quartic_from_definition
+    suites, calls = [], []
+
+    def timed(make, *args):
+        suites.append(make.__name__)
+        return real_timed(make, *args)
+
+    def recording_oracle(s, u, v):
+        calls.append((suites[-1], s.name, np.shape(u), np.shape(v)))
+        return real_oracle(s, u, v)
+
+    monkeypatch.setattr(verify, "_timed", timed)
+    monkeypatch.setattr(verify, "quartic_from_definition", recording_oracle)
+    run_verify(trials=3)
+    shape = lambda s: (RIEMANN_SECTIONS, s.n, s.n)
+    assert [call for call in calls if call[0] == "_riemann_suite"] == [
+        ("_riemann_suite", s.name, shape(s), shape(s)) for s in DEFAULT_PLAN
+        if s.real_dim <= RIEMANN_MAX_DIM]
 
 
 def test_the_commuting_and_special_references_take_one_call_per_chunk(
